@@ -10,7 +10,7 @@
 //! drive streams it all) and as fuse chunks spread across the drives by
 //! the migrator, for varying drive counts.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_core::{migrate_candidates, MigrationPolicy};
 use copra_fuse::ArchiveFuse;
@@ -31,7 +31,7 @@ struct Row {
     speedup: f64,
 }
 
-fn setup(drives: usize, nodes: usize) -> (Hsm, ArchiveFuse) {
+fn setup(cli: &BenchCli, drives: usize, nodes: usize) -> (Hsm, ArchiveFuse) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
         .build();
@@ -42,14 +42,13 @@ fn setup(drives: usize, nodes: usize) -> (Hsm, ArchiveFuse) {
         ..TapeTiming::lto4()
     };
     let server = TsmServer::roadrunner(TapeLibrary::new(drives, 64, timing));
-    let hsm = Hsm::new(pfs.clone(), server, cluster);
-    copra_bench::note_hsm(&hsm);
+    let hsm = cli.hsm_rig(pfs.clone(), server, cluster);
     let fuse = ArchiveFuse::new(pfs, DataSize::gb(100), DataSize::gb(10));
     (hsm, fuse)
 }
 
-fn single_object(drives: usize) -> f64 {
-    let (hsm, _) = setup(drives, drives);
+fn single_object(cli: &BenchCli, drives: usize) -> f64 {
+    let (hsm, _) = setup(cli, drives, drives);
     let ino = hsm
         .pfs()
         .create_file(
@@ -64,8 +63,8 @@ fn single_object(drives: usize) -> f64 {
     end.as_secs_f64()
 }
 
-fn fuse_nton(drives: usize) -> f64 {
-    let (hsm, fuse) = setup(drives, drives);
+fn fuse_nton(cli: &BenchCli, drives: usize) -> (f64, Hsm) {
+    let (hsm, fuse) = setup(cli, drives, drives);
     hsm.pfs().mkdir_p("/data").unwrap();
     fuse.write_file(
         "/data/huge.dat",
@@ -89,14 +88,17 @@ fn fuse_nton(drives: usize) -> f64 {
     );
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(report.files, (FILE_GB / 10) as usize);
-    report.makespan.as_secs_f64()
+    (report.makespan.as_secs_f64(), hsm)
 }
 
 fn main() {
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut last = None;
     for drives in [1usize, 2, 4, 8, 16] {
-        let single = single_object(drives);
-        let nton = fuse_nton(drives);
+        let single = single_object(&cli, drives);
+        let (nton, hsm) = fuse_nton(&cli, drives);
+        last = Some(hsm);
         rows.push(Row {
             drives,
             single_object_secs: single,
@@ -121,6 +123,5 @@ fn main() {
     );
     println!("\n  Paper: a single object streams to ONE drive regardless of drive\n  count; fuse chunks scale with drives until the disk/SAN path saturates.");
     write_json("tbl_fuse", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&last.expect("sweep ran"));
 }

@@ -10,7 +10,7 @@
 //! M nodes each migrate the same volume of data; we report aggregate rate
 //! for both paths.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::{DataPath, Hsm, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
@@ -30,7 +30,7 @@ struct Row {
     advantage: f64,
 }
 
-fn run(nodes: usize, path: DataPath) -> f64 {
+fn run(cli: &BenchCli, nodes: usize, path: DataPath) -> (f64, Hsm) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
         .build();
@@ -41,8 +41,7 @@ fn run(nodes: usize, path: DataPath) -> f64 {
         Bandwidth::gbit_per_sec(10).scaled(0.75),
         SimDuration::from_millis(2),
     );
-    let hsm = Hsm::new(pfs.clone(), server, cluster.clone());
-    copra_bench::note_hsm(&hsm);
+    let hsm = cli.hsm_rig(pfs.clone(), server, cluster.clone());
     // Build per-node file sets.
     let mut per_node_files: Vec<Vec<copra_vfs::Ino>> = Vec::new();
     for n in 0..nodes {
@@ -74,14 +73,17 @@ fn run(nodes: usize, path: DataPath) -> f64 {
         makespan = makespan.max(cursor);
     }
     let total_bytes = (nodes * FILES_PER_NODE) as u64 * FILE_GB * 1_000_000_000;
-    copra_bench::mb_per_sec(total_bytes, start, makespan)
+    (copra_bench::mb_per_sec(total_bytes, start, makespan), hsm)
 }
 
 fn main() {
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut last = None;
     for nodes in [2usize, 4, 8, 16, 24] {
-        let lan = run(nodes, DataPath::Lan);
-        let lanfree = run(nodes, DataPath::LanFree);
+        let (lan, _) = run(&cli, nodes, DataPath::Lan);
+        let (lanfree, hsm) = run(&cli, nodes, DataPath::LanFree);
+        last = Some(hsm);
         rows.push(Row {
             nodes,
             lan_mb_s: lan,
@@ -106,6 +108,5 @@ fn main() {
     );
     println!("\n  Paper: LAN saturates the single server NIC as nodes are added;\n  LAN-free scales per-node (FC4 HBA + its own drive) until drives run out.");
     write_json("tbl_lanfree", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&last.expect("sweep ran"));
 }

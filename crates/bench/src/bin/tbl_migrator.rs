@@ -6,7 +6,7 @@
 //! migration process onto a single machine. The custom migrator sorts and
 //! distributes candidates **by size** so all machines finish together.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_core::{migrate_candidates, MigrationPolicy};
 use copra_hsm::{DataPath, Hsm, TsmServer};
@@ -25,14 +25,13 @@ struct Row {
     fastest_node_gb: f64,
 }
 
-fn run(policy: MigrationPolicy) -> Row {
+fn run(cli: &BenchCli, policy: MigrationPolicy) -> (Row, Hsm) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(10));
     let server = TsmServer::roadrunner(TapeLibrary::new(24, 128, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster.clone());
-    copra_bench::note_hsm(&hsm);
+    let hsm = cli.hsm_rig(pfs.clone(), server, cluster.clone());
     // A heavy-tailed candidate list: mostly small files, a few huge ones —
     // exactly the mix that breaks count-balancing.
     let tree = mixed_tree(400, 2_000_000_000, 2.2, 8, 99);
@@ -57,24 +56,26 @@ fn run(policy: MigrationPolicy) -> Row {
         .filter(|(_, f, _, _)| *f > 0)
         .map(|(_, _, b, _)| *b as f64 / 1e9)
         .collect();
-    Row {
+    let row = Row {
         policy: format!("{policy:?}"),
         makespan_secs: report.makespan.saturating_since(start).as_secs_f64(),
         imbalance: report.imbalance(start),
         slowest_node_gb: busy.iter().cloned().fold(f64::MIN, f64::max),
         fastest_node_gb: busy.iter().cloned().fold(f64::MAX, f64::min),
-    }
+    };
+    (row, hsm)
 }
 
 fn main() {
-    let rows: Vec<Row> = [
+    let cli = BenchCli::parse();
+    let (rows, rigs): (Vec<Row>, Vec<Hsm>) = [
         MigrationPolicy::SizeBalanced,
         MigrationPolicy::RoundRobin,
         MigrationPolicy::SingleNode,
     ]
     .into_iter()
-    .map(run)
-    .collect();
+    .map(|policy| run(&cli, policy))
+    .unzip();
     print_table(
         "T-MIGR (§4.2.4): 400-file heavy-tailed migration over 10 nodes / 24 drives",
         &[
@@ -99,6 +100,5 @@ fn main() {
     );
     println!("\n  Paper: size-balanced distribution lets migrations 'complete at the\n  same time across machines'; count-balancing skews, single-node is worst.");
     write_json("tbl_migrator", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(rigs.last().expect("three policies ran"));
 }

@@ -9,7 +9,7 @@
 //! Full-stack run: files are archived, migrated to tape, then copied back
 //! with `pfcp` with tape ordering on and off.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::{DataPath, Hsm, TsmServer};
@@ -33,7 +33,7 @@ struct Row {
     speedup: f64,
 }
 
-fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
+fn run(cli: &BenchCli, files: usize, file_mb: u64, ordering: bool) -> (f64, u64, Hsm) {
     let clock = Clock::new();
     let cluster = FtaCluster::new(ClusterConfig::tiny(4));
     let scratch = Pfs::scratch("scratch", clock.clone(), 8);
@@ -41,8 +41,7 @@ fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
         .build();
     let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-    let hsm = Hsm::new(archive.clone(), server, cluster.clone());
-    copra_bench::note_hsm(&hsm);
+    let hsm = cli.hsm_rig(archive.clone(), server, cluster.clone());
     let fuse = ArchiveFuse::paper_defaults(archive.clone());
     let catalog = Arc::new(TsmCatalog::new());
 
@@ -98,14 +97,17 @@ fn run(files: usize, file_mb: u64, ordering: bool) -> (f64, u64) {
     assert!(report.stats.ok(), "{:?}", report.stats.errors);
     assert_eq!(report.stats.tape_restores as usize, files);
     let locates = hsm.server().library().stats().totals.locates - locates_before;
-    (report.stats.sim_seconds(), locates)
+    (report.stats.sim_seconds(), locates, hsm)
 }
 
 fn main() {
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut last = None;
     for (files, file_mb) in [(16usize, 200u64), (32, 100), (64, 50)] {
-        let (unordered_secs, unordered_locates) = run(files, file_mb, false);
-        let (ordered_secs, ordered_locates) = run(files, file_mb, true);
+        let (unordered_secs, unordered_locates, _) = run(&cli, files, file_mb, false);
+        let (ordered_secs, ordered_locates, hsm) = run(&cli, files, file_mb, true);
+        last = Some(hsm);
         rows.push(Row {
             files,
             file_mb,
@@ -144,6 +146,5 @@ fn main() {
     );
     println!("\n  Paper: sorting by (tape id, seq) enforces sequential reads and\n  'drastically reduce[s] tape drive thrashing overhead'.");
     write_json("tbl_order", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&last.expect("sweep ran"));
 }

@@ -22,7 +22,7 @@
 //! bit-identically on a second run. `--quick` shrinks the campaign for CI
 //! smoke runs.
 
-use copra_bench::{mb_per_sec, print_table, write_json, EXPERIMENT_SEED};
+use copra_bench::{mb_per_sec, print_table, write_json, BenchCli, EXPERIMENT_SEED};
 use copra_cluster::NodeId;
 use copra_core::{ArchiveSystem, SystemConfig};
 use copra_faults::FaultPlan;
@@ -61,7 +61,7 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[idx]
 }
 
-fn run(libraries: usize, files: u64) -> Row {
+fn run(cli: &BenchCli, libraries: usize, files: u64) -> (Row, ArchiveSystem) {
     let config = SystemConfig {
         libraries,
         drives: 2,
@@ -69,8 +69,7 @@ fn run(libraries: usize, files: u64) -> Row {
         placement: PlacementPolicy::Mirror { copies: 2 },
         ..SystemConfig::test_small()
     };
-    let sys = ArchiveSystem::new(config);
-    copra_bench::note_rig(&sys);
+    let sys = cli.rig(config);
     sys.archive().mkdir_p("/camp").unwrap();
     let mut originals = Vec::new();
     for i in 0..files {
@@ -121,7 +120,7 @@ fn run(libraries: usize, files: u64) -> Row {
         let node = NodeId((i % sys.cluster().node_count()) as u32);
         let t = sys
             .hsm()
-            .recall_file(ino, node, DataPath::LanFree, cursor)
+            .recall_file(ino, node, DataPath::LanFree, cursor, None)
             .unwrap_or_else(|e| panic!("{p}: recall failed mid-outage: {e}"));
         if outage {
             assert!(t < outage_end, "{p}: recall ran past the outage window");
@@ -148,7 +147,7 @@ fn run(libraries: usize, files: u64) -> Row {
         "libraries={libraries}: re-silver left objects under target: {repair:?}"
     );
     sys.export_catalog();
-    let report = scrub(sys.archive(), sys.hsm().server(), sys.catalog(), repair.end).unwrap();
+    let report = scrub(sys.hsm(), sys.catalog(), repair.end).unwrap();
     assert!(
         report.under_replicated.is_empty() && report.diverged_replicas.is_empty(),
         "libraries={libraries}: scrub after re-silver: {report:?}"
@@ -160,7 +159,7 @@ fn run(libraries: usize, files: u64) -> Row {
 
     durations_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let m = sys.snapshot().metrics;
-    Row {
+    let row = Row {
         libraries,
         files,
         outage,
@@ -171,7 +170,8 @@ fn run(libraries: usize, files: u64) -> Row {
         recall_goodput_mb_s: recall_goodput,
         resilvered: m.counter("replication.resilvered"),
         sim_seconds: report.end.as_secs_f64(),
-    }
+    };
+    (row, sys)
 }
 
 #[derive(Serialize)]
@@ -182,11 +182,14 @@ struct Bench {
 }
 
 fn main() {
-    let cli = copra_bench::BenchCli::parse();
+    let cli = BenchCli::parse();
     let quick = cli.quick;
     let files = if quick { 12 } else { 40 };
 
-    let rows = vec![run(1, files), run(2, files), run(4, files)];
+    let rows: Vec<Row> = [1, 2, 4]
+        .into_iter()
+        .map(|libraries| run(&cli, libraries, files).0)
+        .collect();
     // Every mirrored recall whose primary sat in the dead library must
     // have failed over; re-silver must repair exactly what degraded.
     for r in rows.iter().filter(|r| r.outage) {
@@ -207,7 +210,7 @@ fn main() {
     );
     assert_eq!(rows[2].degraded_migrates, 0, "{:?}", rows[2]);
     // Same seed, same fleet → the same simulated campaign, twice.
-    let again = run(2, files);
+    let (again, rig) = run(&cli, 2, files);
     assert_eq!(rows[1], again, "replication campaign must be deterministic");
 
     print_table(
@@ -253,5 +256,5 @@ fn main() {
     )
     .expect("write BENCH_replication.json");
     println!("  [json] BENCH_replication.json");
-    cli.finish();
+    cli.finish(&rig);
 }

@@ -12,7 +12,7 @@
 //!
 //! `--quick` shrinks the campaign to ~100k files for CI smoke runs.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
 use copra_simtime::{Clock, SimDuration, SimInstant};
 use copra_trace::TraceReport;
@@ -186,7 +186,8 @@ fn engine() -> PolicyEngine {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let cli = BenchCli::parse();
+    let quick = cli.quick;
     let files = if quick { 100_000 } else { 1_000_000 };
     let usable_cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -196,10 +197,8 @@ fn main() {
     let t0 = Instant::now();
     let (_clock, pfs) = build_namespace(files);
     let build_secs = t0.elapsed().as_secs_f64();
-    let tracer = copra_bench::bench_tracer();
-    if tracer.is_armed() {
-        pfs.arm_tracing(tracer.clone());
-    }
+    let tracer = cli.tracer();
+    pfs.arm_tracing(tracer.clone());
     let eng = engine();
 
     let mut rows: Vec<Row> = Vec::new();
@@ -316,6 +315,5 @@ usable (cgroup/affinity limit); scaling numbers recorded, not enforced"
     )
     .expect("write BENCH_scale.json");
     println!("  [json] BENCH_scale.json");
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&pfs);
 }

@@ -5,7 +5,7 @@
 //! a million-file namespace and run a real ILM policy scan over it (rayon
 //! parallel, wall-clock measured).
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_pfs::{Cmp, Pfs, PolicyEngine, Predicate, Rule};
 use copra_simtime::{Clock, SimDuration};
 use copra_vfs::Content;
@@ -21,7 +21,7 @@ struct Row {
     matched: usize,
 }
 
-fn run(files: usize) -> Row {
+fn run(files: usize) -> (Row, Pfs) {
     let clock = Clock::new();
     let pfs = Pfs::scratch("archive", clock.clone(), 8);
     let t0 = Instant::now();
@@ -56,19 +56,24 @@ fn run(files: usize) -> Row {
         ),
     ]);
     let report = pfs.run_policy(&engine);
-    Row {
+    let row = Row {
         inodes: report.scanned,
         build_secs,
         scan_secs: report.wall_seconds,
         inodes_per_sec: report.inodes_per_sec,
         matched: report.lists.get("candidates").map(Vec::len).unwrap_or(0),
-    }
+    };
+    (row, pfs)
 }
 
 fn main() {
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut last = None;
     for files in [100_000usize, 1_000_000] {
-        rows.push(run(files));
+        let (row, pfs) = run(files);
+        rows.push(row);
+        last = Some(pfs);
     }
     print_table(
         "T-SCAN (§4.2.1): ILM policy scan (GPFS: 1M inodes in 10 min = 1,667/s)",
@@ -93,6 +98,5 @@ fn main() {
         600.0 / million.scan_secs.max(1e-9)
     );
     write_json("tbl_scan", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&last.expect("sweep ran"));
 }

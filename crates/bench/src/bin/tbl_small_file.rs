@@ -11,7 +11,7 @@
 //! drive for (a) one-file-one-transaction HSM migration and (b) aggregated
 //! migration with 1 GB containers, plus the weekend arithmetic.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::aggregate::migrate_aggregated;
 use copra_hsm::{DataPath, Hsm, TsmServer};
@@ -30,19 +30,17 @@ struct Row {
     aggregation_speedup: f64,
 }
 
-fn one_drive_hsm() -> Hsm {
+fn one_drive_hsm(cli: &BenchCli) -> Hsm {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(1));
     let server = TsmServer::roadrunner(TapeLibrary::new(1, 64, TapeTiming::lto4()));
-    let h = Hsm::new(pfs, server, cluster);
-    copra_bench::note_hsm(&h);
-    h
+    cli.hsm_rig(pfs, server, cluster)
 }
 
-fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
-    let hsm = one_drive_hsm();
+fn migrate_rate(cli: &BenchCli, file_size: u64, count: usize, aggregated: bool) -> (f64, Hsm) {
+    let hsm = one_drive_hsm(cli);
     let tree = small_file_storm(count, file_size, 7);
     populate(hsm.pfs(), "/data", &tree);
     let records = hsm.pfs().scan_records();
@@ -70,10 +68,11 @@ fn migrate_rate(file_size: u64, count: usize, aggregated: bool) -> f64 {
         }
         cursor
     };
-    copra_bench::mb_per_sec(tree.total_bytes(), start, end)
+    (copra_bench::mb_per_sec(tree.total_bytes(), start, end), hsm)
 }
 
 fn main() {
+    let cli = BenchCli::parse();
     let sizes_mb: [(f64, usize); 5] = [
         (0.5, 400),
         (2.0, 300),
@@ -82,10 +81,12 @@ fn main() {
         (1000.0, 12),
     ];
     let mut rows = Vec::new();
+    let mut last = None;
     for (mb, count) in sizes_mb {
         let size = (mb * 1e6) as u64;
-        let per_file = migrate_rate(size, count, false);
-        let agg = migrate_rate(size, count, true);
+        let (per_file, _) = migrate_rate(&cli, size, count, false);
+        let (agg, hsm) = migrate_rate(&cli, size, count, true);
+        last = Some(hsm);
         rows.push(Row {
             file_size_mb: mb,
             files: count,
@@ -128,6 +129,5 @@ fn main() {
         "  2M x 8 MB files on 24 drives: {weekend_hours:.0} h per-file (paper: 'an entire weekend'), {agg_hours:.1} h aggregated."
     );
     write_json("tbl_small_file", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&last.expect("sweep ran"));
 }

@@ -9,7 +9,7 @@
 //! of (a) unlink + reconcile-with-fix and (b) synchronous delete. Both
 //! must leave zero orphans.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_core::SyncDeleter;
 use copra_hsm::aggregate::migrate_aggregated;
@@ -31,14 +31,13 @@ struct Row {
     advantage: f64,
 }
 
-fn build(files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
+fn build(cli: &BenchCli, files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 16, DataSize::tb(100)))
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(4));
     let server = TsmServer::roadrunner(TapeLibrary::new(8, 256, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster);
-    copra_bench::note_hsm(&hsm);
+    let hsm = cli.hsm_rig(pfs.clone(), server, cluster);
     let tree = mixed_tree(files, 20_000_000, 1.0, 16, 5);
     populate(&pfs, "/data", &tree);
     let records = pfs.scan_records();
@@ -64,10 +63,12 @@ fn build(files: usize) -> (Hsm, Arc<TsmCatalog>, Vec<String>, SimInstant) {
 }
 
 fn main() {
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut last = None;
     for files in [2_000usize, 10_000, 40_000] {
         // (a) classic: plain unlink then reconcile cleans the orphans.
-        let (hsm, _catalog, victims, t0) = build(files);
+        let (hsm, _catalog, victims, t0) = build(&cli, files);
         let n_victims = victims.len();
         for v in &victims {
             hsm.pfs().unlink(v).unwrap();
@@ -79,7 +80,7 @@ fn main() {
         assert!(verify.orphans.is_empty());
 
         // (b) synchronous delete.
-        let (hsm, catalog, victims, t0) = build(files);
+        let (hsm, catalog, victims, t0) = build(&cli, files);
         let deleter = SyncDeleter::new(hsm.clone(), catalog);
         let mut cursor = t0;
         let mut deleted = 0;
@@ -92,6 +93,7 @@ fn main() {
         let syncdel_secs = cursor.saturating_since(t0).as_secs_f64();
         let verify = reconcile(hsm.pfs(), hsm.server(), cursor, false).unwrap();
         assert!(verify.orphans.is_empty(), "syncdel left orphans");
+        last = Some(hsm);
 
         rows.push(Row {
             files,
@@ -119,6 +121,5 @@ fn main() {
     );
     println!("\n  Paper: reconcile walks and compares EVERY file (O(N)); the\n  synchronous deleter pays only for what was deleted (O(deleted)).");
     write_json("tbl_syncdel", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&last.expect("sweep ran"));
 }

@@ -9,7 +9,7 @@
 //! We migrate K files (one volume, ascending seq), then recall all of them
 //! under both policies across a varying node count.
 
-use copra_bench::{print_table, write_json};
+use copra_bench::{print_table, write_json, BenchCli};
 use copra_cluster::{ClusterConfig, FtaCluster, NodeId};
 use copra_hsm::{DataPath, Hsm, RecallPolicy, RecallRequest, TsmServer};
 use copra_pfs::{PfsBuilder, PoolConfig};
@@ -29,14 +29,13 @@ struct Row {
     penalty: f64,
 }
 
-fn run(nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64) {
+fn run(cli: &BenchCli, nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64, Hsm) {
     let pfs = PfsBuilder::new("archive", Clock::new())
         .pool(PoolConfig::fast_disk("fast", 8, DataSize::tb(100)))
         .build();
     let cluster = FtaCluster::new(ClusterConfig::tiny(nodes));
     let server = TsmServer::roadrunner(TapeLibrary::new(2, 8, TapeTiming::lto4()));
-    let hsm = Hsm::new(pfs.clone(), server, cluster);
-    copra_bench::note_hsm(&hsm);
+    let hsm = cli.hsm_rig(pfs.clone(), server, cluster);
     let mut cursor = SimInstant::EPOCH;
     let mut inos = Vec::new();
     for i in 0..files as u64 {
@@ -59,15 +58,23 @@ fn run(nodes: usize, files: usize, policy: RecallPolicy) -> (f64, u64) {
         .recall_batch(&requests, policy, DataPath::LanFree, start)
         .unwrap();
     let handoffs = hsm.server().library().stats().totals.handoffs;
-    (out.makespan.saturating_since(start).as_secs_f64(), handoffs)
+    (
+        out.makespan.saturating_since(start).as_secs_f64(),
+        handoffs,
+        hsm,
+    )
 }
 
 fn main() {
+    let cli = BenchCli::parse();
     let mut rows = Vec::new();
+    let mut last = None;
     for nodes in [2usize, 4, 8] {
         let files = 24;
-        let (scatter_secs, scatter_handoffs) = run(nodes, files, RecallPolicy::Scatter);
-        let (affinity_secs, affinity_handoffs) = run(nodes, files, RecallPolicy::TapeAffinity);
+        let (scatter_secs, scatter_handoffs, _) = run(&cli, nodes, files, RecallPolicy::Scatter);
+        let (affinity_secs, affinity_handoffs, hsm) =
+            run(&cli, nodes, files, RecallPolicy::TapeAffinity);
+        last = Some(hsm);
         rows.push(Row {
             nodes,
             files,
@@ -108,6 +115,5 @@ fn main() {
         "\n  Paper: hand-offs rewind + re-verify the label each time — 'a massive\n  performance hit'; same-machine affinity eliminates it (0 hand-offs)."
     );
     write_json("tbl_thrash", &rows);
-    copra_bench::dump_metrics_if_requested();
-    copra_bench::dump_trace_if_requested();
+    cli.finish(&last.expect("sweep ran"));
 }

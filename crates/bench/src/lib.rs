@@ -23,13 +23,15 @@
 //! Criterion benches (in `benches/`) measure the *real* wall-time of the
 //! hot machinery.
 
+use copra_cluster::FtaCluster;
 use copra_core::{ArchiveSystem, DeviceUtilization, SystemConfig, SystemSnapshot};
+use copra_hsm::{Hsm, TsmServer};
+use copra_pfs::Pfs;
 use copra_simtime::{achieved_rate, DataSize, SimInstant};
 use copra_trace::Tracer;
 use serde::Serialize;
 use std::fmt::Display;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
 
 /// Pretty-print an aligned table.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
@@ -96,31 +98,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("  [json] {}", path.display());
 }
 
-/// The standard experiment rig: the Roadrunner-shaped system. Armed for
-/// tracing automatically when the binary was invoked with `--trace-out`.
-pub fn roadrunner_rig() -> ArchiveSystem {
-    let sys = ArchiveSystem::new(SystemConfig::roadrunner());
-    arm_rig_tracing(&sys);
-    sys
-}
-
-/// A smaller rig for sweeps that rebuild the system many times. Also
-/// auto-armed under `--trace-out`; all rebuilt rigs share one span store,
-/// so the dumped trace covers the whole sweep.
-pub fn small_rig() -> ArchiveSystem {
-    let sys = ArchiveSystem::new(SystemConfig::test_small());
-    arm_rig_tracing(&sys);
-    sys
-}
-
-/// Arm `sys` with the process-wide bench tracer when one is active.
-pub fn arm_rig_tracing(sys: &ArchiveSystem) {
-    let tracer = bench_tracer();
-    if tracer.is_armed() {
-        sys.arm_tracing(tracer);
-    }
-}
-
 /// Fixed seed used across experiment binaries (reproducibility).
 pub const EXPERIMENT_SEED: u64 = 0x0000_C075_2010;
 
@@ -131,173 +108,165 @@ pub fn mb_per_sec(bytes: u64, start: SimInstant, end: SimInstant) -> f64 {
     achieved_rate(DataSize::from_bytes(bytes), end.saturating_since(start)).as_mb_per_sec_f64()
 }
 
-/// The CLI surface every experiment binary shares, parsed once up front:
-/// `--quick` (shrunken smoke-test workload), `--metrics-out <path>` and
-/// `--trace-out <path>`. Binaries used to re-parse these ad hoc; parse
-/// with [`BenchCli::parse`] at the top of `main` and call
-/// [`BenchCli::finish`] at the bottom instead.
+/// The CLI surface every experiment binary shares: `--quick` (shrunken
+/// smoke-test workload), `--metrics-out <path>` and `--trace-out <path>`.
+/// Parse it at the top of `main`, build every rig through it (so rigs
+/// record into its tracer), and hand the rig to [`BenchCli::finish`] at
+/// the bottom.
 #[derive(Debug, Clone)]
 pub struct BenchCli {
     /// `--quick`: run the smoke-test-sized version of the experiment.
     pub quick: bool,
-    /// `--metrics-out <path>`: dump the noted rig's metrics snapshot.
+    /// `--metrics-out <path>`: dump the finished rig's metrics snapshot.
     pub metrics_out: Option<PathBuf>,
-    /// `--trace-out <path>`: arm the bench tracer, dump Chrome JSON.
+    /// `--trace-out <path>`: arm the tracer, dump Chrome JSON.
     pub trace_out: Option<PathBuf>,
+    /// Armed (seeded with [`EXPERIMENT_SEED`]) iff `--trace-out` was
+    /// given; every rig built through this CLI shares its span store.
+    tracer: Tracer,
 }
 
 impl BenchCli {
+    /// Parse the process arguments. A bad flag prints the error and exits
+    /// with code 2 before any work runs.
     pub fn parse() -> Self {
-        BenchCli {
-            quick: std::env::args().any(|a| a == "--quick"),
-            metrics_out: metrics_out_arg(),
-            trace_out: trace_out_arg(),
-        }
-    }
-
-    /// The standard experiment epilogue: honor `--metrics-out` and
-    /// `--trace-out` in the conventional order.
-    pub fn finish(&self) {
-        dump_metrics_if_requested();
-        dump_trace_if_requested();
-    }
-}
-
-/// `--metrics-out <path>` (or `--metrics-out=<path>`) from the command
-/// line; `None` when the flag is absent.
-pub fn metrics_out_arg() -> Option<PathBuf> {
-    path_flag("--metrics-out")
-}
-
-/// `--trace-out <path>` (or `--trace-out=<path>`): where to write the
-/// Chrome trace-event JSON. The flag also arms the bench tracer.
-pub fn trace_out_arg() -> Option<PathBuf> {
-    path_flag("--trace-out")
-}
-
-fn path_flag(flag: &str) -> Option<PathBuf> {
-    let eq = format!("{flag}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix(&eq) {
-            return Some(PathBuf::from(p));
-        }
-    }
-    None
-}
-
-/// The process-wide bench tracer: armed (seeded with
-/// [`EXPERIMENT_SEED`]) iff the binary was invoked with `--trace-out`,
-/// disabled — and therefore free — otherwise.
-pub fn bench_tracer() -> Tracer {
-    static TRACER: OnceLock<Tracer> = OnceLock::new();
-    TRACER
-        .get_or_init(|| {
-            if trace_out_arg().is_some() {
-                Tracer::armed(EXPERIMENT_SEED)
-            } else {
-                Tracer::disabled()
-            }
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         })
-        .clone()
-}
-
-/// Honor `--trace-out <path>`: write everything the bench tracer recorded
-/// as Chrome trace-event JSON (open in `chrome://tracing` / Perfetto).
-/// Call at the end of every experiment binary, next to
-/// [`dump_metrics_if_requested`].
-pub fn dump_trace_if_requested() {
-    let Some(path) = trace_out_arg() else {
-        return;
-    };
-    let Some(report) = bench_tracer().report() else {
-        return;
-    };
-    std::fs::write(&path, report.to_chrome_json()).expect("write trace json");
-    println!(
-        "  [trace] {} ({} spans, {} dropped, digest {:016x})",
-        path.display(),
-        report.spans.len(),
-        report.dropped,
-        report.tree_digest()
-    );
-}
-
-/// The most recently noted rig, kept alive so `--metrics-out` can snapshot
-/// it at exit (most binaries build systems inside sweep helpers). Full
-/// systems give the complete device picture; HSM-only rigs still carry
-/// the registry, the server NIC and the drive timelines.
-enum NotedRig {
-    System(Box<ArchiveSystem>),
-    Hsm(copra_hsm::Hsm),
-}
-
-static LAST_RIG: Mutex<Option<NotedRig>> = Mutex::new(None);
-
-/// Remember `sys` as the system a later [`dump_metrics_if_requested`]
-/// snapshots. Cheap: an `ArchiveSystem` clone shares all state. Also
-/// arms tracing under `--trace-out` (idempotent with the rig helpers).
-pub fn note_rig(sys: &ArchiveSystem) {
-    arm_rig_tracing(sys);
-    *LAST_RIG.lock().unwrap() = Some(NotedRig::System(Box::new(sys.clone())));
-}
-
-/// Remember an HSM-only rig (binaries that drive `Hsm` directly, without
-/// the full `ArchiveSystem` wiring). Under `--trace-out` the rig's
-/// registry and PFS are armed here, so hand-rolled binaries trace too.
-pub fn note_hsm(hsm: &copra_hsm::Hsm) {
-    let tracer = bench_tracer();
-    if tracer.is_armed() {
-        hsm.server().obs().set_tracer(tracer.clone());
-        hsm.pfs().arm_tracing(tracer);
     }
-    *LAST_RIG.lock().unwrap() = Some(NotedRig::Hsm(hsm.clone()));
-}
 
-fn snapshot_noted() -> SystemSnapshot {
-    match &*LAST_RIG.lock().unwrap() {
-        Some(NotedRig::System(sys)) => sys.snapshot(),
-        Some(NotedRig::Hsm(hsm)) => {
-            let now = hsm.pfs().clock().now();
-            let server = hsm.server();
-            let mut devices = vec![DeviceUtilization::from_stats(
-                "server.nic",
-                &server.nic_stats(),
-                now,
-            )];
-            for (i, stats) in server.library().drive_timeline_stats().iter().enumerate() {
-                devices.push(DeviceUtilization::from_stats(
-                    format!("tape.drive{i}"),
-                    stats,
-                    now,
-                ));
-            }
-            SystemSnapshot {
-                sim_now_ns: now.as_nanos(),
-                devices,
-                metrics: server.obs().snapshot(),
-            }
+    /// Parse `args` (program name excluded). `--metrics-out` and
+    /// `--trace-out` take a value (`--flag <path>` or `--flag=<path>`),
+    /// and the path is created up front so an unwritable one fails now
+    /// rather than after the experiment has run. Other arguments are
+    /// ignored.
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let mut quick = false;
+        let mut metrics_out = None;
+        let mut trace_out = None;
+        let mut args = args.into_iter().peekable();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+                None => (arg, None),
+            };
+            let slot = match flag.as_str() {
+                "--quick" => {
+                    quick = true;
+                    continue;
+                }
+                "--metrics-out" => &mut metrics_out,
+                "--trace-out" => &mut trace_out,
+                _ => continue,
+            };
+            let value = inline
+                .or_else(|| args.next_if(|next| !next.starts_with("--")))
+                .filter(|v| !v.is_empty())
+                .ok_or(format!("{flag} needs a path"))?;
+            let path = PathBuf::from(value);
+            std::fs::File::create(&path).map_err(|e| format!("{flag} {}: {e}", path.display()))?;
+            *slot = Some(path);
         }
-        None => SystemSnapshot {
-            sim_now_ns: 0,
-            devices: Vec::new(),
-            metrics: copra_obs::MetricsSnapshot::default(),
-        },
+        let tracer = if trace_out.is_some() {
+            Tracer::armed(EXPERIMENT_SEED)
+        } else {
+            Tracer::disabled()
+        };
+        Ok(BenchCli {
+            quick,
+            metrics_out,
+            trace_out,
+            tracer,
+        })
+    }
+
+    /// The run's tracer (disabled unless `--trace-out` was given).
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Build a full system from `config`, recording into the run's tracer.
+    pub fn rig(&self, config: SystemConfig) -> ArchiveSystem {
+        ArchiveSystem::new(config.with_tracer(self.tracer.clone()))
+    }
+
+    /// Build an HSM-only rig (binaries that drive `Hsm` directly, without
+    /// the full `ArchiveSystem` wiring), recording into the run's tracer.
+    pub fn hsm_rig(&self, pfs: Pfs, server: TsmServer, cluster: FtaCluster) -> Hsm {
+        server.obs().set_tracer(self.tracer.clone());
+        pfs.arm_tracing(self.tracer.clone());
+        Hsm::new(pfs, server, cluster)
+    }
+
+    /// The standard experiment epilogue: honor `--metrics-out` with a
+    /// snapshot of `rig`, then `--trace-out` with everything the tracer
+    /// recorded as Chrome trace-event JSON (open in `chrome://tracing` /
+    /// Perfetto).
+    pub fn finish(&self, rig: &impl Rig) {
+        if let Some(path) = &self.metrics_out {
+            std::fs::write(path, rig.snapshot().to_json()).expect("write metrics snapshot");
+            println!("  [metrics] {}", path.display());
+        }
+        if let (Some(path), Some(report)) = (&self.trace_out, self.tracer.report()) {
+            std::fs::write(path, report.to_chrome_json()).expect("write trace json");
+            println!(
+                "  [trace] {} ({} spans, {} dropped, digest {:016x})",
+                path.display(),
+                report.spans.len(),
+                report.dropped,
+                report.tree_digest()
+            );
+        }
     }
 }
 
-/// Honor `--metrics-out <path>`: write the last noted rig's observability
-/// snapshot (device utilizations + metrics registry) as JSON. Call at the
-/// end of every experiment binary.
-pub fn dump_metrics_if_requested() {
-    let Some(path) = metrics_out_arg() else {
-        return;
-    };
-    std::fs::write(&path, snapshot_noted().to_json()).expect("write metrics snapshot");
-    println!("  [metrics] {}", path.display());
+/// Anything a bench drives that `--metrics-out` can snapshot.
+pub trait Rig {
+    fn snapshot(&self) -> SystemSnapshot;
+}
+
+impl Rig for ArchiveSystem {
+    fn snapshot(&self) -> SystemSnapshot {
+        ArchiveSystem::snapshot(self)
+    }
+}
+
+/// An HSM-only rig still carries the registry, the server NIC and the
+/// drive timelines.
+impl Rig for Hsm {
+    fn snapshot(&self) -> SystemSnapshot {
+        let now = self.pfs().clock().now();
+        let server = self.server();
+        let mut devices = vec![DeviceUtilization::from_stats(
+            "server.nic",
+            &server.nic_stats(),
+            now,
+        )];
+        for (i, stats) in server.library().drive_timeline_stats().iter().enumerate() {
+            devices.push(DeviceUtilization::from_stats(
+                format!("tape.drive{i}"),
+                stats,
+                now,
+            ));
+        }
+        SystemSnapshot {
+            sim_now_ns: now.as_nanos(),
+            devices,
+            metrics: server.obs().snapshot(),
+        }
+    }
+}
+
+/// A bare file system has no registry or device timelines: only its clock.
+impl Rig for Pfs {
+    fn snapshot(&self) -> SystemSnapshot {
+        SystemSnapshot {
+            sim_now_ns: self.clock().now().as_nanos(),
+            devices: Vec::new(),
+            metrics: Default::default(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -312,9 +281,74 @@ mod tests {
         assert!((s.mean - 4.0).abs() < 1e-12);
     }
 
+    fn parse(args: &[&str]) -> Result<BenchCli, String> {
+        BenchCli::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    /// A path in a fresh per-test directory under the system temp dir.
+    fn temp_path(test: &str, file: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("copra-bench-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(file)
+    }
+
     #[test]
     fn rigs_build() {
-        let rig = small_rig();
+        let cli = parse(&[]).unwrap();
+        let rig = cli.rig(SystemConfig::test_small());
         assert!(rig.archive().pool_by_name("tape").is_some());
+        assert!(!cli.tracer().is_armed());
+    }
+
+    #[test]
+    fn parse_reads_every_flag_form() {
+        let metrics = temp_path("forms", "m.json");
+        let trace = temp_path("forms", "t.json");
+        let cli = parse(&[
+            "--quick",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            &format!("--trace-out={}", trace.display()),
+        ])
+        .unwrap();
+        assert!(cli.quick);
+        assert_eq!(cli.metrics_out.as_ref(), Some(&metrics));
+        assert_eq!(cli.trace_out.as_ref(), Some(&trace));
+        assert!(cli.tracer().is_armed());
+        assert!(
+            metrics.exists() && trace.exists(),
+            "outputs created up front"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_value() {
+        for args in [
+            &["--metrics-out"][..],
+            &["--trace-out", "--quick"],
+            &["--metrics-out="],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("needs a path"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_an_uncreatable_path() {
+        let missing_dir = temp_path("uncreatable", "no-such-dir").join("m.json");
+        let err = parse(&["--metrics-out", missing_dir.to_str().unwrap()]).unwrap_err();
+        assert!(err.starts_with("--metrics-out "), "{err}");
+    }
+
+    #[test]
+    fn finish_snapshots_the_rig_it_is_handed() {
+        let metrics = temp_path("finish", "m.json");
+        let cli = parse(&["--metrics-out", metrics.to_str().unwrap()]).unwrap();
+        let rig = cli.rig(SystemConfig::test_small());
+        rig.clock().advance_to(SimInstant::from_secs(5));
+        cli.finish(&rig);
+        let snap = SystemSnapshot::from_json(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        assert_eq!(snap.sim_now_ns, 5_000_000_000);
+        assert!(snap.device("trunk.link0").is_some(), "full-system devices");
     }
 }

@@ -1,15 +1,15 @@
 //! The assembled archive system.
 
 use copra_cluster::{ClusterConfig, FtaCluster, LoadManager, Moab};
-use copra_faults::{FaultPlan, FaultPlane, RetryPolicy};
+use copra_faults::{FaultPlan, FaultPlane};
 use copra_fuse::ArchiveFuse;
 use copra_hsm::{DataPath, Hsm, HsmResult, PlacementPolicy, TsmServer};
 use copra_metadb::TsmCatalog;
 use copra_obs::Registry;
-use copra_pfs::{Cmp, HsmState, Pfs, PfsBuilder, PolicyEngine, PoolConfig, Predicate, Rule};
+use copra_pfs::{Cmp, Pfs, PfsBuilder, PolicyEngine, PoolConfig, Predicate, Rule};
 use copra_pftool::{pfcm, pfcp, pfls, CompareReport, CopyReport, FsView, ListReport, PftoolConfig};
 use copra_simtime::{Clock, DataSize, SimDuration, SimInstant};
-use copra_stager::{Admission, MigrateRequest, RecallRequest, Stager, StagerConfig};
+use copra_stager::{MigrateRequest, Stager, StagerConfig};
 use copra_tape::{TapeFleet, TapeTiming};
 use std::sync::Arc;
 
@@ -31,9 +31,6 @@ pub struct SystemConfig {
     /// Where migrated objects land across the libraries (replica count
     /// and steering) — see [`PlacementPolicy`].
     pub placement: PlacementPolicy,
-    /// Fallback retry policy the recovery paths use when no fault plane
-    /// is armed (an armed plane's policy always wins).
-    pub retry_policy: RetryPolicy,
     /// Fast FC disk pool capacity (archive first tier).
     pub fast_pool: DataSize,
     /// Devices (LUN groups) in the fast pool.
@@ -50,11 +47,9 @@ pub struct SystemConfig {
     pub fuse_chunk: DataSize,
     /// LoadManager refresh period.
     pub loadmgr_refresh: SimDuration,
-    /// Fault plan to arm at construction ([`SystemConfig::with_faults`]).
-    /// `None` builds a fault-free system with no `faults.*` metrics.
-    pub faults: Option<FaultPlan>,
-    /// Tracer to arm at construction ([`SystemConfig::with_tracer`]).
-    pub tracer: Option<copra_trace::Tracer>,
+    /// Span tracer the whole stack records into
+    /// ([`SystemConfig::with_tracer`]); disabled by default.
+    pub tracer: copra_trace::Tracer,
     /// Stager front end to build at construction
     /// ([`SystemConfig::with_stager`]). `None` leaves recalls unscheduled
     /// (the historical direct-to-HSM path).
@@ -72,7 +67,6 @@ impl SystemConfig {
             tapes: 512,
             tape_timing: TapeTiming::lto4(),
             placement: PlacementPolicy::Single,
-            retry_policy: RetryPolicy::immediate(8),
             fast_pool: DataSize::tb(100),
             fast_devices: 10,
             slow_pool: DataSize::tb(100),
@@ -82,8 +76,7 @@ impl SystemConfig {
             fuse_threshold: DataSize::gb(100),
             fuse_chunk: DataSize::gb(10),
             loadmgr_refresh: SimDuration::from_secs(60),
-            faults: None,
-            tracer: None,
+            tracer: copra_trace::Tracer::disabled(),
             stager: None,
         }
     }
@@ -98,7 +91,6 @@ impl SystemConfig {
             tapes: 32,
             tape_timing: TapeTiming::lto4(),
             placement: PlacementPolicy::Single,
-            retry_policy: RetryPolicy::immediate(8),
             fast_pool: DataSize::tb(10),
             fast_devices: 4,
             slow_pool: DataSize::tb(10),
@@ -108,8 +100,7 @@ impl SystemConfig {
             fuse_threshold: DataSize::mb(200),
             fuse_chunk: DataSize::mb(50),
             loadmgr_refresh: SimDuration::from_secs(60),
-            faults: None,
-            tracer: None,
+            tracer: copra_trace::Tracer::disabled(),
             stager: None,
         }
     }
@@ -124,42 +115,16 @@ impl SystemConfig {
         }
     }
 
-    // ----- fluent arming ---------------------------------------------------
+    // ----- arming ----------------------------------------------------------
     //
-    // Historically faults, tracing, retry and the stager were armed by
-    // separate post-construction mutators; these builders let benches and
-    // tests produce a fully-armed system in one expression:
-    //
-    // ```ignore
-    // let sys = ArchiveSystem::new(
-    //     SystemConfig::test_small()
-    //         .with_faults(plan)
-    //         .with_tracer(tracer)
-    //         .with_retry(RetryPolicy::immediate(4))
-    //         .with_stager(StagerConfig::default()),
-    // );
-    // ```
-    //
-    // The old mutators ([`ArchiveSystem::arm_faults`],
-    // [`ArchiveSystem::arm_tracing`]) remain as thin shims — `new`
-    // delegates to them when these fields are set.
+    // Tracing and the stager are fixed at build time. Faults are armed
+    // after setup ([`ArchiveSystem::arm_faults`]), because fault plans
+    // name setup state: tape addresses of migrated objects, the cursor a
+    // campaign reached.
 
-    /// Arm this fault plan at construction.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Arm this tracer at construction.
+    /// Record the whole stack's spans into `tracer`.
     pub fn with_tracer(mut self, tracer: copra_trace::Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Use this fallback retry policy (what `TsmServer::set_default_retry`
-    /// applied post-construction).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry_policy = policy;
+        self.tracer = tracer;
         self
     }
 
@@ -193,7 +158,6 @@ pub struct ArchiveSystem {
     archive_view: FsView,
     obs: Arc<Registry>,
     stager: Option<Arc<Stager>>,
-    fault_plane: Option<Arc<FaultPlane>>,
 }
 
 impl ArchiveSystem {
@@ -243,7 +207,6 @@ impl ArchiveSystem {
             obs.clone(),
         );
         let server = TsmServer::roadrunner(fleet);
-        server.set_default_retry(config.retry_policy);
         let hsm = Hsm::new(archive.clone(), server, cluster.clone());
         hsm.set_placement(config.placement);
         let fuse = ArchiveFuse::new(archive.clone(), config.fuse_threshold, config.fuse_chunk);
@@ -260,7 +223,15 @@ impl ArchiveSystem {
         );
         // Standard trashcan root, present from day one (§4.2.7).
         archive.mkdir_p(crate::trashcan::TRASH_ROOT).unwrap();
-        let mut sys = ArchiveSystem {
+        // Every span consumer reads its tracer lazily: the registry (HSM,
+        // journal, recovery, fault plane, stager) and both file systems.
+        obs.set_tracer(config.tracer.clone());
+        scratch.arm_tracing(config.tracer.clone());
+        archive.arm_tracing(config.tracer);
+        let stager = config
+            .stager
+            .map(|cfg| Arc::new(Stager::new(hsm.clone(), cfg)));
+        ArchiveSystem {
             clock,
             cluster,
             scratch,
@@ -273,21 +244,8 @@ impl ArchiveSystem {
             scratch_view,
             archive_view,
             obs,
-            stager: None,
-            fault_plane: None,
-        };
-        // Fluent arming: delegate to the historical mutators so the two
-        // surfaces cannot drift apart.
-        if let Some(tracer) = config.tracer {
-            sys.arm_tracing(tracer);
+            stager,
         }
-        if let Some(plan) = config.faults {
-            sys.fault_plane = Some(sys.arm_faults(plan));
-        }
-        if let Some(stager_cfg) = config.stager {
-            sys.stager = Some(Arc::new(Stager::new(sys.hsm.clone(), stager_cfg)));
-        }
-        sys
     }
 
     // ----- accessors -------------------------------------------------------
@@ -333,37 +291,7 @@ impl ArchiveSystem {
     pub fn stager(&self) -> Option<&Arc<Stager>> {
         self.stager.as_ref()
     }
-    /// The fault plane armed at construction by
-    /// [`SystemConfig::with_faults`] (post-construction
-    /// [`ArchiveSystem::arm_faults`] hands its plane back directly).
-    pub fn fault_plane(&self) -> Option<&Arc<FaultPlane>> {
-        self.fault_plane.as_ref()
-    }
-
     // ----- typed request entry points ---------------------------------------
-
-    /// Recall through the typed request surface. With a stager configured
-    /// this is a stager submit (fair-share scheduling, admission verdicts,
-    /// pool hits); without one it is the historical direct recall, eagerly
-    /// executed — the verdict is always `Accepted`. Positional callers
-    /// (`Hsm::recall_file` and friends) keep working as thin shims under
-    /// this surface.
-    pub fn recall(&self, req: RecallRequest, now: SimInstant) -> HsmResult<Admission> {
-        if let Some(stager) = &self.stager {
-            return stager.submit(req, now);
-        }
-        let ino = self.archive.resolve(&req.path)?;
-        if self.archive.hsm_state(ino)? == HsmState::Migrated {
-            let nodes = self.cluster.node_count() as u32;
-            let node = copra_cluster::NodeId((ino.0 % nodes as u64) as u32);
-            self.hsm.recall_file(ino, node, DataPath::LanFree, now)?;
-        } else {
-            let bytes = self.archive.logical_size(ino)?;
-            self.archive
-                .charge_read(ino, now, DataSize::from_bytes(bytes));
-        }
-        Ok(Admission::Accepted)
-    }
 
     /// Migrate through the typed request surface: resolves the path, picks
     /// a mover node, and runs the HSM migrate with the request's `punch`
@@ -390,19 +318,6 @@ impl ArchiveSystem {
         let plane = plan.arm(self.obs.clone());
         self.hsm.server().library().arm_faults(plane.clone());
         plane
-    }
-
-    // ----- tracing ----------------------------------------------------------
-
-    /// Arm causal tracing across the whole stack: the obs registry's
-    /// tracer (consulted by the HSM, the journal, recovery and the fault
-    /// plane) and both Pfs instances all record into the one shared span
-    /// store. Un-armed systems pay nothing — every span call stays a
-    /// branch on `None`.
-    pub fn arm_tracing(&self, tracer: copra_trace::Tracer) {
-        self.obs.set_tracer(tracer.clone());
-        self.scratch.arm_tracing(tracer.clone());
-        self.archive.arm_tracing(tracer);
     }
 
     // ----- recovery ---------------------------------------------------------
@@ -599,6 +514,14 @@ mod tests {
         assert!(sys.archive().pool_by_name("slow").is_some());
         assert!(sys.archive().pool_by_name("tape").unwrap().is_external());
         assert!(sys.archive().exists(crate::trashcan::TRASH_ROOT));
+    }
+
+    #[test]
+    fn replica_target_follows_placement() {
+        let target =
+            |config: SystemConfig| ArchiveSystem::new(config).hsm().placement().total_copies();
+        assert_eq!(target(SystemConfig::test_replicated(2)), 2);
+        assert_eq!(target(SystemConfig::test_small()), 1);
     }
 
     #[test]

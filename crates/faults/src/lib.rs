@@ -78,7 +78,7 @@ impl RetryPolicy {
 
     /// Zero-delay retries — the fault-free baseline policy. Keeps the
     /// no-plan sim timings bit-identical to immediate-retry loops.
-    pub fn immediate(budget: u32) -> Self {
+    pub const fn immediate(budget: u32) -> Self {
         RetryPolicy {
             base: SimDuration::ZERO,
             max_delay: SimDuration::ZERO,

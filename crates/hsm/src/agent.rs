@@ -19,6 +19,10 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Retry policy data movers use when no fault plane is armed: immediate,
+/// bounded retries.
+const FALLBACK_RETRY: RetryPolicy = RetryPolicy::immediate(8);
+
 /// Which path object data takes (§4.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DataPath {
@@ -95,15 +99,11 @@ impl StorageAgent {
     }
 
     /// The armed fault plane (if any) and the retry policy recoveries use:
-    /// backoff-with-jitter under a plan, the server's configured default
-    /// otherwise (immediate bounded retries unless the system overrides
-    /// it — keeping the fault-free baseline's sim timings unchanged).
+    /// backoff-with-jitter under a plan, [`FALLBACK_RETRY`] otherwise
+    /// (keeping the fault-free baseline's sim timings unchanged).
     fn recovery(&self) -> (Option<Arc<FaultPlane>>, RetryPolicy) {
         let plane = self.shared.server.library().armed_faults();
-        let policy = plane
-            .as_ref()
-            .map(|p| p.retry())
-            .unwrap_or_else(|| self.shared.server.default_retry());
+        let policy = plane.as_ref().map_or(FALLBACK_RETRY, |p| p.retry());
         (plane, policy)
     }
 
@@ -900,16 +900,12 @@ mod tests {
         use copra_faults::FaultPlan;
         let (cluster, server) = setup(1, 1, 2);
         let agent = StorageAgent::new(NodeId(0), cluster, server.clone());
-        // Unarmed: the server's configured default is the fallback.
+        // Unarmed: immediate bounded retries are the fallback.
         assert_eq!(agent.recovery().1, RetryPolicy::immediate(8));
-        server.set_default_retry(RetryPolicy::immediate(3));
-        assert_eq!(agent.recovery().1, RetryPolicy::immediate(3));
-        // Armed: the plane's policy wins over whatever the server holds.
+        // Armed: the plane's policy wins over the fallback.
         let lib = server.library().clone();
         lib.arm_faults(FaultPlan::new(7).arm(lib.obs().clone()));
-        let armed = agent.recovery().1;
-        assert_eq!(armed, RetryPolicy::standard(7));
-        assert_ne!(armed, server.default_retry());
+        assert_eq!(agent.recovery().1, RetryPolicy::standard(7));
     }
 
     #[test]

@@ -210,6 +210,7 @@ mod tests {
                 NodeId(1),
                 DataPath::LanFree,
                 SimInstant::from_secs(1000),
+                None,
             )
             .unwrap();
         assert!(t > SimInstant::from_secs(1000));

@@ -132,11 +132,10 @@ impl Hsm {
         *self.placement.read()
     }
 
-    /// Switch replica placement. The server's replica target follows, so
-    /// scrub and re-silver measure under-replication against the policy.
+    /// Switch replica placement. Scrub and re-silver measure
+    /// under-replication against the policy's [`PlacementPolicy::total_copies`].
     pub fn set_placement(&self, policy: PlacementPolicy) {
         *self.placement.write() = policy;
-        self.server.set_replica_target(policy.total_copies());
     }
 
     pub fn pfs(&self) -> &Pfs {
@@ -501,21 +500,11 @@ impl Hsm {
     }
 
     /// Recall one migrated file through the daemon on `node`: fetch from
-    /// tape, write back into the archive pool, restore the stub.
-    pub fn recall_file(
-        &self,
-        ino: Ino,
-        node: NodeId,
-        data_path: DataPath,
-        ready: SimInstant,
-    ) -> HsmResult<SimInstant> {
-        self.recall_file_ctx(ino, node, data_path, ready, None)
-    }
-
-    /// [`Hsm::recall_file`] under a caller span (a PFTool tape restore, a
-    /// fuse fault-in). Emits `hsm.recall` keyed by ino with
+    /// tape, write back into the archive pool, restore the stub. Emits
+    /// `hsm.recall` keyed by ino, under `parent` when the caller has a
+    /// span (a PFTool tape restore, a stager dispatch), with
     /// `hsm.agent.fetch` / `hsm.pfs.write` children.
-    pub fn recall_file_ctx(
+    pub fn recall_file(
         &self,
         ino: Ino,
         node: NodeId,
@@ -624,7 +613,7 @@ impl Hsm {
         let mut completions = Vec::with_capacity(resolved.len());
         let mut makespan = ready;
         for ((ino, _), node) in resolved.iter().zip(assignments) {
-            let end = self.recall_file(*ino, node, data_path, ready)?;
+            let end = self.recall_file(*ino, node, data_path, ready, None)?;
             completions.push((*ino, end));
             makespan = makespan.max(end);
         }
@@ -674,7 +663,7 @@ mod tests {
         ));
 
         let t2 = hsm
-            .recall_file(ino, NodeId(1), DataPath::LanFree, t1)
+            .recall_file(ino, NodeId(1), DataPath::LanFree, t1, None)
             .unwrap();
         assert!(t2 > t1);
         assert_eq!(pfs.hsm_state(ino).unwrap(), HsmState::Premigrated);
@@ -712,7 +701,7 @@ mod tests {
             .create_file("/f", 0, Content::synthetic(1, 100))
             .unwrap();
         assert!(matches!(
-            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH),
+            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, SimInstant::EPOCH, None),
             Err(HsmError::WrongState { .. })
         ));
     }

@@ -225,7 +225,7 @@ mod tests {
         let mut t = report.end;
         for (&ino, content) in inos.iter().zip(&contents).skip(6) {
             t = hsm
-                .recall_file(ino, NodeId(1), DataPath::LanFree, t)
+                .recall_file(ino, NodeId(1), DataPath::LanFree, t, None)
                 .unwrap();
             let got = pfs.vfs().peek_content(ino).unwrap();
             assert!(got.eq_content(content));
@@ -251,7 +251,7 @@ mod tests {
         assert_eq!(report.lost_objects, vec![objid]);
         assert!(report.erased);
         assert!(matches!(
-            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, report.end),
+            hsm.recall_file(ino, NodeId(0), DataPath::LanFree, report.end, None),
             Err(HsmError::NoSuchObject(_))
         ));
 
@@ -280,7 +280,7 @@ mod tests {
         );
         hsm.server().library().damage_record(addr).unwrap();
         let t2 = hsm
-            .recall_file(ino, NodeId(1), DataPath::LanFree, t)
+            .recall_file(ino, NodeId(1), DataPath::LanFree, t, None)
             .unwrap();
         assert!(t2 > t);
         let got = pfs.vfs().peek_content(ino).unwrap();

@@ -165,20 +165,17 @@ fn replica_readable(server: &TsmServer, objid: u64) -> bool {
 /// 3. tape records diverging from the DB (record with no DB object, or a
 ///    DB object now living at a different address) — dropped;
 /// 4. catalog replica re-exported and its indexes verified;
-/// 5. (replicated fleets only, i.e. replica target > 1) replica audit:
-///    every simple primary is checked against the target; primaries short
+/// 5. (replicated placements only, i.e. a replica target > 1) replica
+///    audit: every simple primary is checked against the target; primaries short
 ///    of live replicas are reported `under_replicated`, registered copies
 ///    whose tape record died are reported `diverged_replicas`. Scrub only
 ///    *reports* these — [`resilver`] is the repair.
 ///
 /// Emits `scrub.*` counters and `Recovery` events; panics never, errors
 /// only on infrastructure failure.
-pub fn scrub(
-    pfs: &Pfs,
-    server: &TsmServer,
-    catalog: &TsmCatalog,
-    ready: SimInstant,
-) -> HsmResult<ScrubReport> {
+pub fn scrub(hsm: &Hsm, catalog: &TsmCatalog, ready: SimInstant) -> HsmResult<ScrubReport> {
+    let pfs = hsm.pfs();
+    let server = hsm.server();
     let obs = server.obs().clone();
     let mut report = ScrubReport::default();
 
@@ -273,10 +270,10 @@ pub fn scrub(
         .verify_indexes()
         .expect("catalog indexes consistent after scrub");
 
-    // Phase 5: replica audit. Gated on the fleet's replica target so
+    // Phase 5: replica audit. Gated on the placement's replica target so
     // unreplicated deployments keep the exact legacy scrub behaviour
     // (reports, counters, and sim-time charges all unchanged).
-    let target = server.replica_target();
+    let target = hsm.placement().total_copies();
     if target > 1 {
         let copy_ids: FxHashSet<u64> = server.all_copy_objids().into_iter().collect();
         for obj in server.objects() {
@@ -396,7 +393,7 @@ pub fn resilver(
     ready: SimInstant,
 ) -> HsmResult<ResilverReport> {
     let server = hsm.server();
-    let target = server.replica_target();
+    let target = hsm.placement().total_copies();
     let mut report = ResilverReport {
         end: ready,
         ..Default::default()
@@ -635,7 +632,7 @@ mod tests {
         // the server forgot the object but the stub and record remain.
         hsm.server().forget_object(pairs[1].1).unwrap();
 
-        let report = scrub(&pfs, hsm.server(), &catalog, cursor).unwrap();
+        let report = scrub(&hsm, &catalog, cursor).unwrap();
         assert_eq!(report.orphans_deleted, vec![pairs[0].1]);
         assert_eq!(report.stubs_demoted, vec![pairs[1].1]);
         assert!(report.lost_stubs.is_empty());
@@ -646,7 +643,7 @@ mod tests {
         assert_eq!(catalog.len(), hsm.server().db_len());
         assert_eq!(catalog.verify_indexes(), Ok(()));
         // A second pass finds nothing.
-        let again = scrub(&pfs, hsm.server(), &catalog, report.end).unwrap();
+        let again = scrub(&hsm, &catalog, report.end).unwrap();
         assert!(again.is_clean(), "{again:?}");
         let snap = hsm.server().obs().snapshot();
         assert_eq!(snap.counter("scrub.passes"), 2);
@@ -713,7 +710,7 @@ mod tests {
         );
         hsm.server().library().libraries()[1].set_offline(false);
 
-        let report = scrub(&pfs, hsm.server(), &catalog, cursor).unwrap();
+        let report = scrub(&hsm, &catalog, cursor).unwrap();
         assert_eq!(report.under_replicated, vec![objid]);
         assert!(report.diverged_replicas.is_empty());
         assert!(!report.is_clean());
@@ -729,7 +726,7 @@ mod tests {
 
         // Re-silver grew the DB; converge the catalog before the clean check.
         hsm.server().export(&catalog);
-        let again = scrub(&pfs, hsm.server(), &catalog, r.end).unwrap();
+        let again = scrub(&hsm, &catalog, r.end).unwrap();
         assert!(again.is_clean(), "{again:?}");
         let snap = hsm.server().obs().snapshot();
         assert_eq!(snap.counter("replication.resilver_passes"), 1);
@@ -753,7 +750,7 @@ mod tests {
         let addr = hsm.server().get(replica).unwrap().addr;
         hsm.server().library().damage_record(addr).unwrap();
 
-        let report = scrub(&pfs, hsm.server(), &catalog, t).unwrap();
+        let report = scrub(&hsm, &catalog, t).unwrap();
         assert_eq!(report.diverged_replicas, vec![replica]);
         assert_eq!(report.under_replicated, vec![objid]);
         let snap = hsm.server().obs().snapshot();
@@ -769,7 +766,7 @@ mod tests {
 
         // Re-silver rewrote the replica set; converge the catalog first.
         hsm.server().export(&catalog);
-        let again = scrub(&pfs, hsm.server(), &catalog, r.end).unwrap();
+        let again = scrub(&hsm, &catalog, r.end).unwrap();
         assert!(again.is_clean(), "{again:?}");
     }
 }

@@ -106,7 +106,7 @@ proptest! {
         let mut cursor = out.end;
         for (i, (&ino, content)) in inos.iter().zip(&contents).enumerate() {
             if i % 2 == 0 {
-                cursor = hsm.recall_file(ino, NodeId(1), DataPath::LanFree, cursor).unwrap();
+                cursor = hsm.recall_file(ino, NodeId(1), DataPath::LanFree, cursor, None).unwrap();
                 let got = pfs.vfs().peek_content(ino).unwrap();
                 prop_assert!(got.eq_content(content), "member {i} corrupted");
             }

@@ -71,8 +71,9 @@ impl Registry {
             .record_with_span(now, kind, ctx.map(|c| (c.trace, c.span)));
     }
 
-    /// Install (or replace) the span tracer. Arming is done once, after
-    /// system construction, by `ArchiveSystem::arm_tracing` or a bench rig.
+    /// Install (or replace) the span tracer. `ArchiveSystem::new` installs
+    /// the configured one (`SystemConfig::with_tracer`); HSM-only rigs
+    /// install theirs directly.
     pub fn set_tracer(&self, tracer: Tracer) {
         *self.tracer.write() = tracer;
     }

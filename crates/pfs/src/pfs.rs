@@ -39,7 +39,8 @@ struct PfsShared {
     meta: Timeline,
     /// Span tracer for scan/policy sub-phases. `Pfs` has no dependency on
     /// the obs registry, so it carries its own handle; disabled until
-    /// [`Pfs::arm_tracing`] (read lazily at scan time).
+    /// [`Pfs::arm_tracing`], which `ArchiveSystem::new` calls with the
+    /// configured tracer (read lazily at scan time).
     tracer: RwLock<Tracer>,
 }
 

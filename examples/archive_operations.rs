@@ -81,7 +81,13 @@ fn main() {
     sys.hsm().server().library().damage_record(addr).unwrap();
     let t = sys
         .hsm()
-        .recall_file(victim.ino, NodeId(1), DataPath::LanFree, sys.clock().now())
+        .recall_file(
+            victim.ino,
+            NodeId(1),
+            DataPath::LanFree,
+            sys.clock().now(),
+            None,
+        )
         .unwrap();
     sys.clock().advance_to(t);
     let back = sys.archive().vfs().peek_content(victim.ino).unwrap();

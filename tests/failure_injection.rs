@@ -95,7 +95,7 @@ fn recall_of_deleted_object_fails_cleanly() {
     sys.hsm().server().delete_object(objid, t).unwrap();
     let err = sys
         .hsm()
-        .recall_file(ino, NodeId(0), DataPath::LanFree, t)
+        .recall_file(ino, NodeId(0), DataPath::LanFree, t, None)
         .unwrap_err();
     assert_eq!(err, HsmError::NoSuchObject(objid));
     // The stub is still a stub — not silently zeroed.

@@ -102,7 +102,7 @@ fn run_campaign() -> CampaignOutcome {
         let ino = sys.archive().resolve(path).unwrap();
         let t = sys
             .hsm()
-            .recall_file(ino, NodeId(1), DataPath::LanFree, cursor)
+            .recall_file(ino, NodeId(1), DataPath::LanFree, cursor, None)
             .unwrap_or_else(|e| panic!("{path}: recall during outage failed: {e}"));
         assert!(t < outage_end, "{path}: recall ran past the outage window");
         cursor = t;
@@ -128,7 +128,7 @@ fn run_campaign() -> CampaignOutcome {
         );
     }
     sys.export_catalog();
-    let report = scrub(sys.archive(), sys.hsm().server(), sys.catalog(), repair.end).unwrap();
+    let report = scrub(sys.hsm(), sys.catalog(), repair.end).unwrap();
     assert!(
         report.under_replicated.is_empty(),
         "scrub after re-silver still sees under-replication: {report:?}"
