@@ -3,7 +3,7 @@
 
 use crate::error::{HsmError, HsmResult};
 use crate::object::{ObjectKind, TsmObject};
-use copra_metadb::{TsmCatalog, TsmObjectRow};
+use copra_metadb::{TsmCatalog, TsmRowView};
 use copra_simtime::{Bandwidth, DataSize, SimDuration, SimInstant, Timeline};
 use copra_tape::{LibraryId, TapeFleet, TapeId};
 use parking_lot::RwLock;
@@ -417,37 +417,24 @@ impl TsmServer {
 
     /// Export the file-visible objects (simple + members) into the indexed
     /// replica — the paper's MySQL dump job (§4.2.5). Containers are
-    /// internal and not exported. Rows already identical in the replica
-    /// are left untouched (so the catalog generation counts real drift).
-    /// Returns rows written.
+    /// internal and not exported. The diff is [`TsmCatalog::sync`]: one
+    /// catalog write lock, a row rebuilt only where it differs, and rows
+    /// of objects gone from the server DB dropped. Returns rows written.
     pub fn export(&self, catalog: &TsmCatalog) -> usize {
         let db = self.shared.db.read();
-        let mut n = 0;
-        for obj in db.values() {
-            if matches!(obj.kind, ObjectKind::Container { .. }) {
-                continue;
-            }
-            let row = TsmObjectRow {
+        let rows = db
+            .values()
+            .filter(|obj| !matches!(obj.kind, ObjectKind::Container { .. }))
+            .map(|obj| TsmRowView {
                 objid: obj.objid,
-                path: obj.path.clone(),
+                path: &obj.path,
                 fs_ino: obj.fs_ino,
                 tape: obj.addr.tape.0,
                 seq: obj.addr.seq,
                 len: obj.len,
                 stored_at: obj.stored_at,
-            };
-            if catalog.lookup(obj.objid).as_ref() != Some(&row) {
-                catalog.record(row);
-                n += 1;
-            }
-        }
-        // Remove replica rows whose objects no longer exist.
-        for row in catalog.dump() {
-            if !db.contains_key(&row.objid) {
-                catalog.forget(row.objid);
-            }
-        }
-        n
+            });
+        catalog.sync(rows, |objid| db.contains_key(&objid))
     }
 }
 
@@ -641,6 +628,60 @@ mod tests {
         s.shared.db.write().remove(&1);
         s.export(&catalog);
         assert!(catalog.lookup(1).is_none());
+    }
+
+    #[test]
+    fn export_repairs_drift_and_counts_it() {
+        let s = server();
+        let addr = |tape, seq| TapeAddress {
+            tape: TapeId(tape),
+            seq,
+        };
+        for objid in 1..=4 {
+            s.register(simple(objid, 10 + objid, addr(1, objid as u32), 100));
+        }
+        s.register(TsmObject {
+            objid: 5,
+            path: "/container".into(),
+            fs_ino: 0,
+            addr: addr(2, 0),
+            len: 10,
+            stored_at: SimInstant::EPOCH,
+            kind: ObjectKind::Container { member_count: 0 },
+        });
+        let catalog = TsmCatalog::new();
+        assert_eq!(s.export(&catalog), 4, "containers are not exported");
+        // Drift: a forged address, a stale row for a deleted object, and a
+        // missing row.
+        let mut forged = catalog.lookup(1).unwrap();
+        (forged.tape, forged.seq) = (7, 77);
+        catalog.record(forged);
+        catalog.record(copra_metadb::TsmObjectRow {
+            objid: 99,
+            path: "/gone".into(),
+            fs_ino: 999,
+            tape: 1,
+            seq: 99,
+            len: 1,
+            stored_at: SimInstant::EPOCH,
+        });
+        catalog.forget(2);
+        let before = catalog.generation();
+
+        let written = s.export(&catalog);
+        assert_eq!(written, 2, "the forged row and the missing row");
+        assert_eq!(catalog.generation(), before + 2 + 1, "written + forgotten");
+        let row = catalog.lookup(1).unwrap();
+        assert_eq!((row.tape, row.seq), (1, 1));
+        assert!(catalog.lookup(2).is_some());
+        assert!(catalog.lookup(99).is_none());
+        assert!(catalog.lookup(5).is_none());
+        assert_eq!(catalog.len(), 4);
+        assert_eq!(catalog.verify_indexes(), Ok(()));
+
+        let settled = catalog.generation();
+        assert_eq!(s.export(&catalog), 0);
+        assert_eq!(catalog.generation(), settled);
     }
 
     #[test]

@@ -148,8 +148,7 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
 
     /// Insert or replace a row; returns the previous row if any.
     pub fn upsert(&mut self, key: K, row: R) -> Option<R> {
-        let old = self.rows.insert(key.clone(), row.clone());
-        if let Some(ref old_row) = old {
+        if let Some(old_row) = self.rows.get(&key) {
             for idx in &mut self.indexes {
                 idx.remove(&key, old_row);
             }
@@ -157,7 +156,7 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
         for idx in &mut self.indexes {
             idx.insert(&key, &row);
         }
-        old
+        self.rows.insert(key, row)
     }
 
     /// Remove a row; returns it if present.
@@ -167,6 +166,15 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
             idx.remove(key, &row);
         }
         Some(row)
+    }
+
+    /// Remove every row whose key fails `keep`; returns how many went.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> usize {
+        let stale: Vec<K> = self.rows.keys().filter(|k| !keep(k)).cloned().collect();
+        for key in &stale {
+            self.remove(key);
+        }
+        stale.len()
     }
 
     pub fn get(&self, key: &K) -> Option<&R> {

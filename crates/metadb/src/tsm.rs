@@ -31,6 +31,45 @@ pub struct TsmObjectRow {
     pub stored_at: SimInstant,
 }
 
+/// Borrowed form of a [`TsmObjectRow`]: what an export offers the replica
+/// for one object. [`TsmCatalog::sync`] compares it against the stored row
+/// in place and builds an owned row only when they differ.
+#[derive(Debug, Clone, Copy)]
+pub struct TsmRowView<'a> {
+    pub objid: u64,
+    pub path: &'a str,
+    pub fs_ino: u64,
+    pub tape: u32,
+    pub seq: u32,
+    pub len: u64,
+    pub stored_at: SimInstant,
+}
+
+impl TsmRowView<'_> {
+    /// True if `row` already holds exactly these fields.
+    fn matches(&self, row: &TsmObjectRow) -> bool {
+        self.objid == row.objid
+            && self.path == row.path
+            && self.fs_ino == row.fs_ino
+            && self.tape == row.tape
+            && self.seq == row.seq
+            && self.len == row.len
+            && self.stored_at == row.stored_at
+    }
+
+    fn to_row(self) -> TsmObjectRow {
+        TsmObjectRow {
+            objid: self.objid,
+            path: self.path.to_string(),
+            fs_ino: self.fs_ino,
+            tape: self.tape,
+            seq: self.seq,
+            len: self.len,
+            stored_at: self.stored_at,
+        }
+    }
+}
+
 fn key_path(_: &u64, r: &TsmObjectRow) -> IndexKey {
     vec![r.path.as_str().into()]
 }
@@ -67,10 +106,12 @@ impl TsmCatalog {
         }
     }
 
-    /// Mutation counter: monotone, bumped by [`record`]/[`forget`].
+    /// Mutation counter: monotone, bumped once per row written or dropped
+    /// by [`record`], [`forget`] and [`sync`].
     ///
     /// [`record`]: TsmCatalog::record
     /// [`forget`]: TsmCatalog::forget
+    /// [`sync`]: TsmCatalog::sync
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -88,6 +129,30 @@ impl TsmCatalog {
             self.generation.fetch_add(1, Ordering::AcqRel);
         }
         old
+    }
+
+    /// Make the replica equal an export, under one write lock: write each
+    /// of `rows` whose stored row differs or is missing, then drop every
+    /// stored row whose objid fails `live`. Rows already identical are
+    /// not touched, so the generation counts real drift (one bump per row
+    /// written or dropped). Returns rows written.
+    pub fn sync<'a>(
+        &self,
+        rows: impl IntoIterator<Item = TsmRowView<'a>>,
+        live: impl Fn(u64) -> bool,
+    ) -> usize {
+        let mut table = self.table.write();
+        let mut written = 0;
+        for view in rows {
+            if !table.get(&view.objid).is_some_and(|row| view.matches(row)) {
+                table.upsert(view.objid, view.to_row());
+                written += 1;
+            }
+        }
+        let dropped = table.retain(|objid| live(*objid));
+        self.generation
+            .fetch_add((written + dropped) as u64, Ordering::AcqRel);
+        written
     }
 
     /// Run [`Table::verify_indexes`] on the replica — scrub's last step.

@@ -14,6 +14,8 @@ struct Row {
 enum Op {
     Upsert(u64, u64, String),
     Remove(u64),
+    /// Keep only the keys not divisible by this.
+    Retain(u64),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -21,6 +23,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             (0u64..40, 0u64..5, "[a-c]{1,3}").prop_map(|(k, g, n)| Op::Upsert(k, g, n)),
             (0u64..40).prop_map(Op::Remove),
+            (2u64..7).prop_map(Op::Retain),
         ],
         1..80,
     )
@@ -44,6 +47,11 @@ proptest! {
                 }
                 Op::Remove(k) => {
                     prop_assert_eq!(table.remove(&k).is_some(), model.remove(&k).is_some());
+                }
+                Op::Retain(m) => {
+                    let before = model.len();
+                    model.retain(|k, _| k % m != 0);
+                    prop_assert_eq!(table.retain(|k| k % m != 0), before - model.len());
                 }
             }
             prop_assert_eq!(table.len(), model.len());

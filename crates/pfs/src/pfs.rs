@@ -2,7 +2,7 @@
 //! storage pools, placement policy, and DMAPI-style managed regions.
 
 use crate::hsmstate::HsmState;
-use crate::policy::{FileRecord, PolicyEngine, Rule};
+use crate::policy::{FileRecord, FileView, PolicyEngine, Rule};
 use crate::pool::{PoolConfig, PoolId, StoragePool};
 use copra_simtime::{Clock, DataSize, Reservation, SimDuration, SimInstant, Timeline};
 use copra_trace::Tracer;
@@ -298,20 +298,20 @@ impl Pfs {
         let actual = content.len();
         let ino = self.shared.vfs.create(path, uid, content)?;
         let now = self.clock().now();
-        let rec = FileRecord {
-            path: path.to_string(),
+        let view = FileView {
+            path,
             ino,
             size: size_hint,
             uid,
             mtime: now,
             atime: now,
-            pool: String::new(),
+            pool: "",
             hsm: HsmState::Resident,
         };
         let pool_id = self
             .shared
             .placement
-            .place(&rec, now)
+            .place(&view, now)
             .and_then(|name| self.shared.pool_by_name.get(name).copied())
             .unwrap_or(self.shared.default_pool);
         self.pool(pool_id).account_add(DataSize::from_bytes(actual));
@@ -562,22 +562,23 @@ impl Pfs {
             .unwrap_or(1)
     }
 
-    /// Policy-visible record for one regular file, built straight from a
+    /// Policy-visible view of one regular file, built straight from a
     /// scan-time attr snapshot (stub-size overlay and HSM state come from
-    /// the xattrs already in hand — no second stat, no extra locks).
-    fn record_from(&self, path: &str, attr: &InodeAttr) -> FileRecord {
+    /// the xattrs already in hand — no second stat, no extra locks). It
+    /// borrows the scan's path and this file system's pool name.
+    fn view_from<'a>(&'a self, path: &'a str, attr: &InodeAttr) -> FileView<'a> {
         let hsm = attr
             .xattr(HsmState::XATTR)
             .and_then(|s| s.parse().ok())
             .unwrap_or(HsmState::Resident);
-        FileRecord {
-            path: path.to_string(),
+        FileView {
+            path,
             ino: attr.ino,
             size: Self::overlay_size(attr),
             uid: attr.uid,
             mtime: attr.mtime,
             atime: attr.atime,
-            pool: self.pool(self.pool_of(attr.ino)).name().to_string(),
+            pool: self.pool(self.pool_of(attr.ino)).name(),
             hsm,
         }
     }
@@ -597,7 +598,7 @@ impl Pfs {
         let root = tracer.root("pfs.scan_records", threads as u64, now);
         let record = |path: &str, attr: &InodeAttr| {
             if attr.is_file() {
-                Some(self.record_from(path, attr))
+                Some(self.view_from(path, attr).to_record())
             } else {
                 None
             }
@@ -627,10 +628,11 @@ impl Pfs {
 
     /// [`Pfs::run_policy`] at an explicit thread count. Rule evaluation is
     /// fused into the sharded namespace scan: each scan thread classifies
-    /// files as it walks its shards and keeps only the matches, so no
-    /// global lock is held and no intermediate vector of all records is
-    /// ever built. [`PolicyEngine::assemble`] sorts the survivors, making
-    /// the report deterministic at every thread count.
+    /// a borrowed [`FileView`] of each file as it walks its shards and
+    /// builds an owned record only for a match, so no global lock is held
+    /// and a file that matches nothing allocates nothing.
+    /// [`PolicyEngine::assemble`] sorts the survivors, making the report
+    /// deterministic at every thread count.
     pub fn run_policy_with(
         &self,
         engine: &PolicyEngine,
@@ -646,8 +648,10 @@ impl Pfs {
                 return None;
             }
             scanned.fetch_add(1, Ordering::Relaxed);
-            let rec = self.record_from(path, attr);
-            engine.classify(&rec, now).map(|idx| (idx, rec))
+            let view = self.view_from(path, attr);
+            engine
+                .classify(&view, now)
+                .map(|idx| (idx, view.to_record()))
         };
         let tagged = match &root {
             Some(g) => self.shared.vfs.par_scan_observed(threads, classify, |st| {
@@ -987,6 +991,91 @@ mod tests {
         // Sorted output, and the stub-size overlay survived the fused scan.
         assert!(base_recs.windows(2).all(|w| w[0].path < w[1].path));
         assert!(baseline.lists["stubs"].iter().all(|r| r.size >= 64));
+    }
+
+    #[test]
+    fn fused_view_scan_classifies_like_owned_records() {
+        let clock = Clock::new();
+        let pfs = PfsBuilder::new("a", clock.clone())
+            .pool(PoolConfig::fast_disk("fast", 1, DataSize::tb(1)))
+            .pool(PoolConfig::slow_disk("slow", 1, DataSize::tb(1)))
+            .build();
+        let dirs = ["/proj/a", "/proj/b/deep", "/other", "/"];
+        for (d, dir) in dirs.iter().enumerate() {
+            pfs.mkdir_p(dir).unwrap();
+            for i in 0..24u32 {
+                let ext = if i % 11 == 0 { "tmp" } else { "dat" };
+                let path = copra_vfs::join(dir, &format!("f{d}{i:02}.{ext}"));
+                let size = 500 + u64::from(i) * 100;
+                let seed = u64::from(d as u32 * 100 + i);
+                let ino = pfs
+                    .create_file(&path, i % 9, Content::synthetic(seed, size))
+                    .unwrap();
+                let age = u64::from(i % 4) * 3600;
+                pfs.utimes(
+                    ino,
+                    SimInstant::from_secs(4 * 3600 - age),
+                    SimInstant::from_secs(4 * 3600 - age / 2),
+                )
+                .unwrap();
+                if i % 3 == 0 {
+                    pfs.move_to_pool(ino, "slow", SimInstant::EPOCH).unwrap();
+                }
+                if i % 4 != 1 {
+                    pfs.mark_premigrated(ino, seed).unwrap();
+                }
+                if i % 4 == 2 {
+                    pfs.punch_hole(ino).unwrap();
+                }
+            }
+        }
+        clock.advance_to(SimInstant::from_secs(4 * 3600));
+        let hour = SimDuration::from_secs(3600);
+        let engine = PolicyEngine::new(vec![
+            Rule::exclude("tmp", Predicate::NameMatches("*.tmp".to_string())),
+            Rule::list(
+                "big-stubs",
+                "big-stubs",
+                Predicate::Hsm(HsmState::Migrated).and(Predicate::SizeBytes(Cmp::Ge, 1500)),
+            ),
+            Rule::list(
+                "old-proj",
+                "old-proj",
+                Predicate::Under("/proj".to_string()).and(Predicate::MtimeAge(Cmp::Gt, hour)),
+            ),
+            Rule::migrate(
+                "cold",
+                "tape",
+                Predicate::Any(vec![
+                    Predicate::AtimeAge(Cmp::Ge, hour),
+                    Predicate::Uid(Cmp::Eq, 7),
+                ]),
+            ),
+            Rule::list(
+                "slow-premig",
+                "slow-premig",
+                Predicate::InPool("slow".to_string()).and(Predicate::Hsm(HsmState::Premigrated)),
+            ),
+            Rule::list(
+                "not-fast",
+                "not-fast",
+                Predicate::Not(Box::new(Predicate::InPool("fast".to_string()))),
+            ),
+            Rule::list("rest", "rest", Predicate::True),
+        ]);
+        let now = clock.now();
+        let owned = engine.scan(&pfs.scan_records_with(1), now);
+        assert_eq!(owned.scanned, 96);
+        for list in ["big-stubs", "old-proj", "slow-premig", "not-fast", "rest"] {
+            assert!(!owned.lists[list].is_empty(), "rule {list} matched nothing");
+        }
+        assert!(!owned.migrations["tape"].is_empty());
+        for threads in [1, 2, 8] {
+            let fused = pfs.run_policy_with(&engine, threads);
+            assert_eq!(fused.scanned, owned.scanned, "threads={threads}");
+            assert_eq!(fused.lists, owned.lists, "threads={threads}");
+            assert_eq!(fused.migrations, owned.migrations, "threads={threads}");
+        }
     }
 
     #[test]

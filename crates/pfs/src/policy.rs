@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Everything a policy predicate can see about one file.
+/// An owned [`FileView`]: what a scan hands back for each file it keeps.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileRecord {
     pub path: String,
@@ -32,6 +32,55 @@ pub struct FileRecord {
     pub atime: SimInstant,
     pub pool: String,
     pub hsm: HsmState,
+}
+
+impl FileRecord {
+    /// Borrow this record as the view predicates evaluate.
+    pub fn view(&self) -> FileView<'_> {
+        FileView {
+            path: &self.path,
+            ino: self.ino,
+            size: self.size,
+            uid: self.uid,
+            mtime: self.mtime,
+            atime: self.atime,
+            pool: &self.pool,
+            hsm: self.hsm,
+        }
+    }
+}
+
+/// Everything a policy predicate can see about one file, borrowed from
+/// the scan that found it: the path from the scan's path buffer and the
+/// pool name from the file system. A file that matches no rule is
+/// classified and dropped without allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct FileView<'a> {
+    pub path: &'a str,
+    pub ino: Ino,
+    /// Logical size (stub files report their pre-punch size).
+    pub size: u64,
+    pub uid: u32,
+    pub mtime: SimInstant,
+    pub atime: SimInstant,
+    pub pool: &'a str,
+    pub hsm: HsmState,
+}
+
+impl FileView<'_> {
+    /// The owned record, for a file the caller keeps.
+    pub fn to_record(self) -> FileRecord {
+        FileRecord {
+            path: self.path.to_string(),
+            ino: self.ino,
+            size: self.size,
+            uid: self.uid,
+            mtime: self.mtime,
+            atime: self.atime,
+            pool: self.pool.to_string(),
+            hsm: self.hsm,
+        }
+    }
 }
 
 /// Comparison operator for scalar predicates.
@@ -58,7 +107,7 @@ impl Cmp {
     }
 }
 
-/// Predicate tree over [`FileRecord`]s.
+/// Predicate tree over [`FileView`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Predicate {
     /// Always true (`WHERE TRUE`).
@@ -85,19 +134,19 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    pub fn eval(&self, rec: &FileRecord, now: SimInstant) -> bool {
+    pub fn eval(&self, rec: &FileView<'_>, now: SimInstant) -> bool {
         match self {
             Predicate::True => true,
             Predicate::SizeBytes(cmp, v) => cmp.holds(rec.size, *v),
             Predicate::MtimeAge(cmp, age) => cmp.holds(now.saturating_since(rec.mtime), *age),
             Predicate::AtimeAge(cmp, age) => cmp.holds(now.saturating_since(rec.atime), *age),
             Predicate::Uid(cmp, v) => cmp.holds(rec.uid, *v),
-            Predicate::Under(prefix) => copra_vfs::is_under(&rec.path, prefix),
+            Predicate::Under(prefix) => copra_vfs::is_under(rec.path, prefix),
             Predicate::NameMatches(pat) => {
                 let name = rec.path.rsplit('/').next().unwrap_or("");
                 wildcard_match(pat, name)
             }
-            Predicate::InPool(p) => rec.pool == *p,
+            Predicate::InPool(p) => rec.pool == p,
             Predicate::Hsm(s) => rec.hsm == *s,
             Predicate::Not(inner) => !inner.eval(rec, now),
             Predicate::All(ps) => ps.iter().all(|p| p.eval(rec, now)),
@@ -182,7 +231,7 @@ pub struct ScanReport {
     /// Wall-clock time of the scan (real time — this is the "1M inodes in
     /// 10 minutes" figure, which is about scan machinery, not device I/O).
     pub wall_seconds: f64,
-    /// Scan rate in inodes per wall second.
+    /// Scan rate in inodes per wall second (0 when no time was measured).
     pub inodes_per_sec: f64,
 }
 
@@ -204,8 +253,8 @@ impl PolicyEngine {
     /// Index of the first rule whose predicate holds for `rec`, if any
     /// (GPFS first-match-wins semantics). This is the per-file kernel that
     /// streaming scans fuse into their namespace traversal: callers tag
-    /// matches as they go instead of materializing every record first.
-    pub fn classify(&self, rec: &FileRecord, now: SimInstant) -> Option<usize> {
+    /// matches as they go and build a [`FileRecord`] only for those.
+    pub fn classify(&self, rec: &FileView<'_>, now: SimInstant) -> Option<usize> {
         self.rules
             .iter()
             .position(|rule| rule.predicate.eval(rec, now))
@@ -243,10 +292,12 @@ impl PolicyEngine {
             }
         }
         report.wall_seconds = wall_seconds;
+        // No measured time means no measured rate: report zero, which
+        // (unlike infinity) survives a JSON round trip.
         report.inodes_per_sec = if wall_seconds > 0.0 {
             scanned as f64 / wall_seconds
         } else {
-            f64::INFINITY
+            0.0
         };
         report
     }
@@ -263,7 +314,10 @@ impl PolicyEngine {
         let t0 = Instant::now();
         let tagged: Vec<(usize, FileRecord)> = records
             .par_iter()
-            .filter_map(|rec| self.classify(rec, now).map(|idx| (idx, rec.clone())))
+            .filter_map(|rec| {
+                self.classify(&rec.view(), now)
+                    .map(|idx| (idx, rec.clone()))
+            })
             .collect();
         self.assemble(tagged, records.len(), t0.elapsed().as_secs_f64())
     }
@@ -271,7 +325,7 @@ impl PolicyEngine {
     /// Placement decision for a new file: the pool named by the first
     /// matching `Place` rule, if any. Non-`Place` rules are skipped (GPFS
     /// keeps placement and management policies separate).
-    pub fn place(&self, rec: &FileRecord, now: SimInstant) -> Option<&str> {
+    pub fn place(&self, rec: &FileView<'_>, now: SimInstant) -> Option<&str> {
         self.rules.iter().find_map(|r| match &r.action {
             Action::Place { pool } if r.predicate.eval(rec, now) => Some(pool.as_str()),
             _ => None,
@@ -300,16 +354,16 @@ mod tests {
     fn scalar_predicates() {
         let r = rec("/data/a.dat", 500, "fast", HsmState::Resident);
         let now = SimInstant::from_secs(100);
-        assert!(Predicate::SizeBytes(Cmp::Lt, 1000).eval(&r, now));
-        assert!(!Predicate::SizeBytes(Cmp::Gt, 1000).eval(&r, now));
-        assert!(Predicate::MtimeAge(Cmp::Ge, SimDuration::from_secs(100)).eval(&r, now));
-        assert!(!Predicate::MtimeAge(Cmp::Gt, SimDuration::from_secs(100)).eval(&r, now));
-        assert!(Predicate::Uid(Cmp::Eq, 1000).eval(&r, now));
-        assert!(Predicate::Under("/data".to_string()).eval(&r, now));
-        assert!(!Predicate::Under("/other".to_string()).eval(&r, now));
-        assert!(Predicate::NameMatches("*.dat".to_string()).eval(&r, now));
-        assert!(Predicate::InPool("fast".to_string()).eval(&r, now));
-        assert!(Predicate::Hsm(HsmState::Resident).eval(&r, now));
+        assert!(Predicate::SizeBytes(Cmp::Lt, 1000).eval(&r.view(), now));
+        assert!(!Predicate::SizeBytes(Cmp::Gt, 1000).eval(&r.view(), now));
+        assert!(Predicate::MtimeAge(Cmp::Ge, SimDuration::from_secs(100)).eval(&r.view(), now));
+        assert!(!Predicate::MtimeAge(Cmp::Gt, SimDuration::from_secs(100)).eval(&r.view(), now));
+        assert!(Predicate::Uid(Cmp::Eq, 1000).eval(&r.view(), now));
+        assert!(Predicate::Under("/data".to_string()).eval(&r.view(), now));
+        assert!(!Predicate::Under("/other".to_string()).eval(&r.view(), now));
+        assert!(Predicate::NameMatches("*.dat".to_string()).eval(&r.view(), now));
+        assert!(Predicate::InPool("fast".to_string()).eval(&r.view(), now));
+        assert!(Predicate::Hsm(HsmState::Resident).eval(&r.view(), now));
     }
 
     #[test]
@@ -317,11 +371,13 @@ mod tests {
         let r = rec("/data/a.dat", 500, "fast", HsmState::Resident);
         let now = SimInstant::EPOCH;
         let p = Predicate::SizeBytes(Cmp::Lt, 1000).and(Predicate::InPool("fast".to_string()));
-        assert!(p.eval(&r, now));
-        assert!(!Predicate::Not(Box::new(p.clone())).eval(&r, now));
-        assert!(Predicate::Any(vec![Predicate::SizeBytes(Cmp::Gt, 1_000_000), p]).eval(&r, now));
-        assert!(Predicate::All(vec![]).eval(&r, now)); // vacuous truth
-        assert!(!Predicate::Any(vec![]).eval(&r, now));
+        assert!(p.eval(&r.view(), now));
+        assert!(!Predicate::Not(Box::new(p.clone())).eval(&r.view(), now));
+        assert!(
+            Predicate::Any(vec![Predicate::SizeBytes(Cmp::Gt, 1_000_000), p]).eval(&r.view(), now)
+        );
+        assert!(Predicate::All(vec![]).eval(&r.view(), now)); // vacuous truth
+        assert!(!Predicate::Any(vec![]).eval(&r.view(), now));
     }
 
     #[test]
@@ -359,6 +415,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_length_scan_report_round_trips_through_json() {
+        let report = PolicyEngine::default().assemble(vec![], 0, 0.0);
+        assert_eq!(report.inodes_per_sec, 0.0);
+        let json = serde_json::to_string(&report).unwrap();
+        let back: ScanReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.scanned, 0);
+        assert_eq!(back.inodes_per_sec, 0.0);
+        assert!(back.lists.is_empty() && back.migrations.is_empty());
+    }
+
+    #[test]
     fn placement_uses_only_place_rules() {
         let engine = PolicyEngine::new(vec![
             Rule::list("noise", "x", Predicate::True),
@@ -379,7 +446,7 @@ mod tests {
         ]);
         let small = rec("/s", 10, "", HsmState::Resident);
         let big = rec("/b", 1_000_000, "", HsmState::Resident);
-        assert_eq!(engine.place(&small, SimInstant::EPOCH), Some("slow"));
-        assert_eq!(engine.place(&big, SimInstant::EPOCH), Some("fast"));
+        assert_eq!(engine.place(&small.view(), SimInstant::EPOCH), Some("slow"));
+        assert_eq!(engine.place(&big.view(), SimInstant::EPOCH), Some("fast"));
     }
 }

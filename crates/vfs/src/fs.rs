@@ -42,6 +42,7 @@ use rustc_hash::{FxHashMap, FxHasher};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::hash::Hasher;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -125,6 +126,9 @@ impl Node {
         }
     }
 }
+
+/// A scan thread's directory paths, by ino.
+type DirMemo = FxHashMap<u64, String>;
 
 // ----- shard plumbing -----------------------------------------------------
 
@@ -894,7 +898,8 @@ impl Vfs {
     /// never materializes the whole tree: each worker snapshots ONE shard
     /// (≈ total/64 inodes) under its read lock, releases it, then
     /// reconstructs paths lock-at-a-time with a per-thread directory-path
-    /// memo.
+    /// memo. Each path is built in one per-thread buffer and lent to `f`
+    /// for the call, so a regular file costs no allocation of its own.
     ///
     /// Results are collected per shard and concatenated in shard order, so
     /// on a quiescent tree the multiset of results is independent of
@@ -923,17 +928,21 @@ impl Vfs {
         let nshards = self.shared.shards.len();
         let threads = threads.max(1).min(nshards);
         let slots: Vec<Mutex<Vec<R>>> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
-        let scan_shard = |shard_idx: usize, memo: &mut FxHashMap<u64, String>| {
+        let scan_shard = |shard_idx: usize, memo: &mut DirMemo, path: &mut String| {
             let t0 = std::time::Instant::now();
             // Phase 1: copy this shard's nodes out under a single read lock.
             // Attrs are cheap now (Arc'd xattrs), so this buffer is small
-            // and bounded by the shard population, not the tree size.
-            let snapshot: Vec<(Ino, Option<Ino>, String, InodeAttr)> = {
+            // and bounded by the shard population, not the tree size. Names
+            // are copied into one buffer and addressed by range.
+            let mut names = String::new();
+            let snapshot: Vec<(Ino, Option<Ino>, Range<usize>, InodeAttr)> = {
                 let g = self.shared.shards.arr[shard_idx].read();
                 g.iter()
                     .map(|(&raw, node)| {
                         let ino = Ino(raw);
-                        (ino, node.parent, node.name.clone(), node.attr(ino))
+                        let start = names.len();
+                        names.push_str(&node.name);
+                        (ino, node.parent, start..names.len(), node.attr(ino))
                     })
                     .collect()
             };
@@ -941,19 +950,28 @@ impl Vfs {
             let visited = snapshot.len() as u64;
             // Phase 2: lock-free over this shard; parent chains are chased
             // one shard read lock at a time (never while holding another).
+            // Each path is built in the thread's one buffer; only
+            // directories are copied into the memo.
             let mut out = Vec::new();
             for (ino, parent, name, attr) in snapshot {
-                let path = match parent {
-                    None => "/".to_string(),
-                    Some(p) => match self.dir_path(p, memo) {
-                        Ok(base) => join(&base, &name),
+                path.clear();
+                match parent {
+                    None => path.push('/'),
+                    Some(p) => match self.memo_dir_path(p, memo) {
+                        Ok(base) => {
+                            path.push_str(base);
+                            if base != "/" {
+                                path.push('/');
+                            }
+                            path.push_str(&names[name]);
+                        }
                         Err(_) => continue, // parent vanished mid-scan
                     },
-                };
+                }
                 if attr.is_dir() {
                     memo.entry(ino.0).or_insert_with(|| path.clone());
                 }
-                if let Some(r) = f(&path, &attr) {
+                if let Some(r) = f(path, &attr) {
                     out.push(r);
                 }
             }
@@ -966,22 +984,22 @@ impl Vfs {
             });
         };
         if threads == 1 {
-            let mut memo = FxHashMap::default();
+            let (mut memo, mut path) = (FxHashMap::default(), String::new());
             for i in 0..nshards {
-                scan_shard(i, &mut memo);
+                scan_shard(i, &mut memo, &mut path);
             }
         } else {
             let next = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for _ in 0..threads {
                     s.spawn(|| {
-                        let mut memo = FxHashMap::default();
+                        let (mut memo, mut path) = (FxHashMap::default(), String::new());
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= nshards {
                                 break;
                             }
-                            scan_shard(i, &mut memo);
+                            scan_shard(i, &mut memo, &mut path);
                         }
                     });
                 }
@@ -990,23 +1008,23 @@ impl Vfs {
         slots.into_iter().flat_map(|m| m.into_inner()).collect()
     }
 
-    /// Absolute path of a directory inode, memoized per scan thread.
-    fn dir_path(&self, ino: Ino, memo: &mut FxHashMap<u64, String>) -> FsResult<String> {
+    /// Absolute path of a directory inode, borrowed from the per-thread
+    /// scan memo; a miss fills the memo for the directory and its
+    /// unmemoized ancestors.
+    fn memo_dir_path<'m>(&self, ino: Ino, memo: &'m mut DirMemo) -> FsResult<&'m str> {
         if ino == ROOT {
-            return Ok("/".to_string());
+            return Ok("/");
         }
-        if let Some(p) = memo.get(&ino.0) {
-            return Ok(p.clone());
+        if !memo.contains_key(&ino.0) {
+            let (parent, name) = {
+                let g = self.shared.shards.read(ino.0);
+                let node = g.get(&ino.0).ok_or(FsError::StaleInode(ino))?;
+                (node.parent.unwrap_or(ROOT), node.name.clone())
+            };
+            let full = join(self.memo_dir_path(parent, memo)?, &name);
+            memo.insert(ino.0, full);
         }
-        let (parent, name) = {
-            let g = self.shared.shards.read(ino.0);
-            let node = g.get(&ino.0).ok_or(FsError::StaleInode(ino))?;
-            (node.parent.unwrap_or(ROOT), node.name.clone())
-        };
-        let base = self.dir_path(parent, memo)?;
-        let full = join(&base, &name);
-        memo.insert(ino.0, full.clone());
-        Ok(full)
+        Ok(&memo[&ino.0])
     }
 
     /// Snapshot of every live inode's attributes plus its path — the input
@@ -1337,6 +1355,21 @@ mod tests {
             v.create(&format!("/a/b/f{i}"), 0, Content::synthetic(i, i))
                 .unwrap();
             v.create(&format!("/c/g{i}"), 0, Content::empty()).unwrap();
+            v.create(&format!("/r{i}"), 0, Content::empty()).unwrap();
+        }
+        // A deep chain whose every directory sits in a different shard
+        // from its parent, with a file at each level.
+        let mut deep = String::new();
+        for level in 0..20 {
+            deep.push_str(&format!("/d{level}"));
+            let dir = v.mkdir_p(&deep).unwrap();
+            let parent = v
+                .resolve(parent_and_name(&deep).unwrap().0.as_str())
+                .unwrap();
+            let shards = &v.shared.shards;
+            assert_ne!(shards.index(dir.0), shards.index(parent.0));
+            v.create(&format!("{deep}/leaf{level}"), 0, Content::empty())
+                .unwrap();
         }
         let mut walked: Vec<String> = v
             .walk("/")
