@@ -11,7 +11,7 @@
 //! | `tbl_chunk` | §4.1.2-3 single-large-file N-way chunked copy |
 //! | `tbl_fuse` | §4.1.2-4 ArchiveFUSE N-to-1 → N-to-N migration |
 //! | `tbl_migrator` | §4.2.4 size-balanced vs naive migration |
-//! | `tbl_scan` | §4.2.1 million-inode policy scan |
+//! | `tbl_scale` | §4.2.1 million-inode policy scan and its thread scaling |
 //! | `tbl_lanfree` | §4.2.2 LAN vs LAN-free data movement |
 //! | `tbl_syncdel` | §4.2.6 synchronous delete vs reconcile |
 //! | `tbl_restart` | §4.5 restartable transfer chunk marking |

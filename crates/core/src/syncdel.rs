@@ -94,13 +94,11 @@ impl SyncDeleter {
         if let Ok(Some(id)) = pfs.hsm_objid(ino) {
             objids.push(id);
         }
-        if let Ok(Some(orphan)) = pfs.get_xattr(ino, "hsm.orphan.objid") {
-            if let Ok(id) = orphan.parse::<u64>() {
-                objids.push(id);
-            }
+        if let Ok(Some(id)) = pfs.orphan_objid(ino) {
+            objids.push(id);
         }
-        // Resolve through the catalog as well (covers exported state whose
-        // xattrs were lost, and verifies the GPFS-file-id → object mapping
+        // Resolve through the catalog as well (covers exported state the
+        // file system no longer records, and verifies the GPFS-file-id → object mapping
         // the paper's flow uses).
         for row in self.catalog.by_ino(ino.0) {
             if !objids.contains(&row.objid) {

@@ -58,11 +58,7 @@ pub fn reconcile(
         }
         fs_files += 1;
         cursor = server.meta_op(cursor); // per-file compare transaction
-        if let Some(objid) = e
-            .attr
-            .xattr(copra_pfs::HsmState::XATTR_OBJID)
-            .and_then(|s| s.parse::<u64>().ok())
-        {
+        if let Some(objid) = pfs.hsm_objid(e.attr.ino)? {
             referenced.insert(objid);
         }
     }
@@ -198,23 +194,14 @@ pub fn scrub(hsm: &Hsm, catalog: &TsmCatalog, ready: SimInstant) -> HsmResult<Sc
         if !e.attr.is_file() {
             continue;
         }
-        let Some(objid) = e
-            .attr
-            .xattr(HsmState::XATTR_OBJID)
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
+        let Some(objid) = pfs.hsm_objid(e.attr.ino)? else {
             continue;
         };
         if server.contains(objid) {
             continue;
         }
         cursor = server.meta_op(cursor);
-        let state: HsmState = e
-            .attr
-            .xattr(HsmState::XATTR)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(HsmState::Resident);
-        match state {
+        match pfs.hsm_state(e.attr.ino)? {
             HsmState::Premigrated => {
                 pfs.mark_resident(e.attr.ino)?;
                 report.stubs_demoted.push(objid);

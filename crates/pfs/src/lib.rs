@@ -12,7 +12,7 @@
 //!   language (size, mtime/atime age, uid, path globs, pool, HSM state),
 //!   evaluated by a rayon-parallel inode scan. GPFS's benchmark claim —
 //!   one million inodes scanned in ten minutes — is reproduced by
-//!   `bench/tbl_scan`.
+//!   `bench/tbl_scale`.
 //! * **DMAPI managed regions** (§4.2.2): HSM punches holes in migrated
 //!   files, leaving a stub whose `stat` still reports the logical size;
 //!   reading a stub raises a recall event instead of returning data.

@@ -22,15 +22,74 @@ pub enum ReadOutcome {
     NeedsRecall { ino: Ino, objid: u64 },
 }
 
+/// Where a file's data lives (the DMAPI managed-region state, §4.2.2).
+/// Each state carries exactly what it needs: a tape copy always has its
+/// object id, and a punched stub always knows its logical size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Residency {
+    Resident,
+    Premigrated { objid: u64 },
+    Migrated { objid: u64, size: u64 },
+}
+
+impl Residency {
+    fn state(self) -> HsmState {
+        match self {
+            Residency::Resident => HsmState::Resident,
+            Residency::Premigrated { .. } => HsmState::Premigrated,
+            Residency::Migrated { .. } => HsmState::Migrated,
+        }
+    }
+
+    fn objid(self) -> Option<u64> {
+        match self {
+            Residency::Resident => None,
+            Residency::Premigrated { objid } | Residency::Migrated { objid, .. } => Some(objid),
+        }
+    }
+
+    /// Logical size of a file whose on-disk content is `on_disk` bytes.
+    fn logical_size(self, on_disk: u64) -> u64 {
+        match self {
+            Residency::Migrated { size, .. } => size,
+            _ => on_disk,
+        }
+    }
+}
+
+/// Everything `Pfs` keeps about a file beyond its vfs inode.
+#[derive(Debug, Clone, Copy)]
+struct FileMeta {
+    pool: PoolId,
+    residency: Residency,
+    /// Tape object made stale by an overwrite of a premigrated file
+    /// (§6.3): only the synchronous deleter still needs it.
+    orphan: Option<u64>,
+}
+
+impl FileMeta {
+    fn resident(pool: PoolId) -> Self {
+        FileMeta {
+            pool,
+            residency: Residency::Resident,
+            orphan: None,
+        }
+    }
+}
+
 struct PfsShared {
     vfs: Vfs,
     pools: Vec<StoragePool>,
     pool_by_name: FxHashMap<String, PoolId>,
     placement: PolicyEngine,
-    /// Per-file pool residency, lock-striped like the inode table it
-    /// shadows: policy scans read it from every scan thread while creates
-    /// and tiering moves write disjoint inos.
-    file_pools: StripedU64Map<PoolId>,
+    /// Per-file pool and HSM residency, lock-striped like the inode table
+    /// it shadows: policy scans read it from every scan thread while
+    /// creates, tiering moves and HSM transitions write disjoint inos.
+    /// Every write is a read-modify-write under the stripe's write lock
+    /// ([`Pfs::update_meta`]), so a pool move and a residency change never
+    /// lose each other's update. A file with no entry is resident in the
+    /// default pool.
+    files: StripedU64Map<FileMeta>,
     default_pool: PoolId,
     /// The metadata service path: file create/stat/unlink transactions
     /// serialize here in simulated time. GPFS's own benchmark claim — one
@@ -116,7 +175,7 @@ impl PfsBuilder {
                 pools,
                 pool_by_name,
                 placement: PolicyEngine::new(self.placement),
-                file_pools: StripedU64Map::new(64),
+                files: StripedU64Map::new(64),
                 default_pool,
                 meta,
                 tracer: RwLock::new(Tracer::disabled()),
@@ -178,10 +237,33 @@ impl Pfs {
 
     /// Pool a file currently resides in.
     pub fn pool_of(&self, ino: Ino) -> PoolId {
+        self.meta_of(ino).pool
+    }
+
+    /// Side-table entry of `ino`, or the default for a directory or a file
+    /// without one. Does not check that the inode exists.
+    fn meta_of(&self, ino: Ino) -> FileMeta {
         self.shared
-            .file_pools
+            .files
             .get(ino.0)
-            .unwrap_or(self.shared.default_pool)
+            .unwrap_or(FileMeta::resident(self.shared.default_pool))
+    }
+
+    /// Side-table entry of an inode the file system holds.
+    fn meta(&self, ino: Ino) -> FsResult<FileMeta> {
+        self.shared.vfs.stat_ino(ino)?;
+        Ok(self.meta_of(ino))
+    }
+
+    /// Read-modify-write `ino`'s entry under its stripe's write lock. The
+    /// caller has checked that the inode exists.
+    fn update_meta<R>(
+        &self,
+        ino: Ino,
+        f: impl FnOnce(&mut FileMeta) -> FsResult<R>,
+    ) -> FsResult<R> {
+        let fresh = FileMeta::resident(self.shared.default_pool);
+        self.shared.files.update(ino.0, || fresh, f)
     }
 
     /// Move a file's *placement* between internal pools (ILM tiering within
@@ -198,25 +280,24 @@ impl Pfs {
                 "use the HSM to migrate to external pools".to_string(),
             ));
         }
-        // A punched stub occupies no disk: tiering it moves metadata only.
-        let on_disk = if self.hsm_state(ino)? == HsmState::Migrated {
-            0
-        } else {
-            self.shared.vfs.stat_ino(ino)?.size
-        };
-        let size = DataSize::from_bytes(on_disk);
-        let from_id = self.pool_of(ino);
+        let disk_size = self.shared.vfs.stat_ino(ino)?.size;
+        let (from_id, on_disk) = self.update_meta(ino, |m| {
+            let from_id = std::mem::replace(&mut m.pool, to_id);
+            // A punched stub occupies no disk: tiering it moves metadata only.
+            let migrated = matches!(m.residency, Residency::Migrated { .. });
+            Ok((from_id, if migrated { 0 } else { disk_size }))
+        })?;
         if from_id == to_id {
             return Ok(Reservation {
                 start: ready,
                 end: ready,
             });
         }
+        let size = DataSize::from_bytes(on_disk);
         let r_read = self.pool(from_id).charge_io(ready, size);
         let r_write = self.pool(to_id).charge_io(r_read.end, size);
         self.pool(from_id).account_remove(size);
         self.pool(to_id).account_add(size);
-        self.shared.file_pools.insert(ino.0, to_id);
         Ok(r_write)
     }
 
@@ -266,10 +347,6 @@ impl Pfs {
         self.shared.vfs.rmdir(path)
     }
 
-    pub fn get_xattr(&self, ino: Ino, key: &str) -> FsResult<Option<String>> {
-        self.shared.vfs.get_xattr(ino, key)
-    }
-
     pub fn set_xattr(&self, ino: Ino, key: &str, value: &str) -> FsResult<()> {
         self.shared.vfs.set_xattr(ino, key, value)
     }
@@ -315,52 +392,49 @@ impl Pfs {
             .and_then(|name| self.shared.pool_by_name.get(name).copied())
             .unwrap_or(self.shared.default_pool);
         self.pool(pool_id).account_add(DataSize::from_bytes(actual));
-        self.shared.file_pools.insert(ino.0, pool_id);
+        self.shared.files.insert(ino.0, FileMeta::resident(pool_id));
         Ok(ino)
     }
 
-    /// HSM residency state of a file (Resident if unannotated).
+    /// HSM residency state of a file (Resident for a directory or a file
+    /// the HSM never touched).
     pub fn hsm_state(&self, ino: Ino) -> FsResult<HsmState> {
-        Ok(self
-            .shared
-            .vfs
-            .get_xattr(ino, HsmState::XATTR)?
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(HsmState::Resident))
+        Ok(self.meta(ino)?.residency.state())
     }
 
-    /// TSM object id recorded on the file, if any.
+    /// TSM object id of the file's tape copy; `Some` exactly when the file
+    /// is premigrated or migrated.
     pub fn hsm_objid(&self, ino: Ino) -> FsResult<Option<u64>> {
-        Ok(self
-            .shared
-            .vfs
-            .get_xattr(ino, HsmState::XATTR_OBJID)?
-            .and_then(|s| s.parse().ok()))
+        Ok(self.meta(ino)?.residency.objid())
+    }
+
+    /// Tape object orphaned by an overwrite of the premigrated file (§6.3),
+    /// which the synchronous deleter must delete along with the file.
+    pub fn orphan_objid(&self, ino: Ino) -> FsResult<Option<u64>> {
+        Ok(self.meta(ino)?.orphan)
     }
 
     /// Logical size: the pre-punch size for stubs, the on-disk size
     /// otherwise.
     pub fn logical_size(&self, ino: Ino) -> FsResult<u64> {
-        let attr = self.shared.vfs.stat_ino(ino)?;
-        Ok(Self::overlay_size(&attr))
+        Ok(self.stat_ino(ino)?.size)
     }
 
-    fn overlay_size(attr: &InodeAttr) -> u64 {
-        attr.xattr(HsmState::XATTR_STUB_SIZE)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(attr.size)
+    /// `attr.size` with a stub's logical size laid over it.
+    fn overlay_size(&self, attr: &InodeAttr) -> u64 {
+        self.meta_of(attr.ino).residency.logical_size(attr.size)
     }
 
     /// `stat` with the stub-size overlay applied.
     pub fn stat(&self, path: &str) -> FsResult<InodeAttr> {
         let mut attr = self.shared.vfs.stat(path)?;
-        attr.size = Self::overlay_size(&attr);
+        attr.size = self.overlay_size(&attr);
         Ok(attr)
     }
 
     pub fn stat_ino(&self, ino: Ino) -> FsResult<InodeAttr> {
         let mut attr = self.shared.vfs.stat_ino(ino)?;
-        attr.size = Self::overlay_size(&attr);
+        attr.size = self.overlay_size(&attr);
         Ok(attr)
     }
 
@@ -368,7 +442,7 @@ impl Pfs {
     pub fn walk(&self, path: &str) -> FsResult<Vec<WalkEntry>> {
         let mut entries = self.shared.vfs.walk(path)?;
         for e in &mut entries {
-            e.attr.size = Self::overlay_size(&e.attr);
+            e.attr.size = self.overlay_size(&e.attr);
         }
         Ok(entries)
     }
@@ -376,15 +450,16 @@ impl Pfs {
     /// Read file data, honouring managed regions: a migrated stub yields
     /// [`ReadOutcome::NeedsRecall`] (the DMAPI read event) instead of data.
     pub fn read(&self, ino: Ino, offset: u64, len: u64) -> FsResult<ReadOutcome> {
-        match self.hsm_state(ino)? {
-            HsmState::Migrated => {
-                let objid = self.hsm_objid(ino)?.ok_or_else(|| {
-                    FsError::PermissionDenied(format!("stub {ino} has no hsm.objid"))
-                })?;
-                Ok(ReadOutcome::NeedsRecall { ino, objid })
-            }
-            _ => Ok(ReadOutcome::Data(self.shared.vfs.read(ino, offset, len)?)),
+        if let Residency::Migrated { objid, .. } = self.meta_of(ino).residency {
+            return Ok(ReadOutcome::NeedsRecall { ino, objid });
         }
+        let data = self.shared.vfs.read(ino, offset, len);
+        // `punch_hole` flips to Migrated before it empties the content, so
+        // a file still on disk after the read was read whole.
+        if let Residency::Migrated { objid, .. } = self.meta_of(ino).residency {
+            return Ok(ReadOutcome::NeedsRecall { ino, objid });
+        }
+        Ok(ReadOutcome::Data(data?))
     }
 
     /// Read a whole resident file; error if it needs recall.
@@ -401,12 +476,12 @@ impl Pfs {
 
     /// Overwrite part of a file. Mutating a premigrated/migrated file makes
     /// the tape copy stale: the file returns to `Resident` and the old
-    /// object id is parked in `hsm.orphan.objid` — exactly the §6.3
-    /// situation the synchronous deleter cannot see and reconciliation (or
-    /// the FUSE truncate interceptor) must clean up.
+    /// object id is parked as its orphan ([`Pfs::orphan_objid`]) — exactly
+    /// the §6.3 situation the synchronous deleter cannot see and
+    /// reconciliation (or the FUSE truncate interceptor) must clean up.
     pub fn write_at(&self, ino: Ino, offset: u64, patch: Content) -> FsResult<()> {
-        self.orphan_tape_copy_on_mutation(ino)?;
         let old = self.shared.vfs.stat_ino(ino)?.size;
+        self.orphan_tape_copy_on_mutation(ino)?;
         self.shared.vfs.write_at(ino, offset, patch)?;
         let new = self.shared.vfs.stat_ino(ino)?.size;
         self.pool(self.pool_of(ino))
@@ -416,8 +491,8 @@ impl Pfs {
 
     /// Truncate; same staleness handling as [`Pfs::write_at`].
     pub fn truncate(&self, ino: Ino, new_len: u64) -> FsResult<()> {
-        self.orphan_tape_copy_on_mutation(ino)?;
         let old = self.shared.vfs.stat_ino(ino)?.size;
+        self.orphan_tape_copy_on_mutation(ino)?;
         self.shared.vfs.truncate(ino, new_len)?;
         self.pool(self.pool_of(ino))
             .account_resize(DataSize::from_bytes(old), DataSize::from_bytes(new_len));
@@ -425,132 +500,115 @@ impl Pfs {
     }
 
     fn orphan_tape_copy_on_mutation(&self, ino: Ino) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state == HsmState::Migrated {
-            return Err(FsError::PermissionDenied(format!(
+        self.update_meta(ino, |m| match m.residency {
+            Residency::Migrated { .. } => Err(FsError::PermissionDenied(format!(
                 "{ino} is a migrated stub; recall before writing"
-            )));
-        }
-        if state == HsmState::Premigrated {
-            if let Some(objid) = self.hsm_objid(ino)? {
-                self.shared
-                    .vfs
-                    .set_xattr(ino, "hsm.orphan.objid", &objid.to_string())?;
+            ))),
+            Residency::Premigrated { objid } => {
+                m.orphan = Some(objid);
+                m.residency = Residency::Resident;
+                Ok(())
             }
-            self.shared.vfs.remove_xattr(ino, HsmState::XATTR_OBJID)?;
-            self.shared
-                .vfs
-                .set_xattr(ino, HsmState::XATTR, HsmState::Resident.as_str())?;
-        }
-        Ok(())
+            Residency::Resident => Ok(()),
+        })
     }
 
     /// Unlink, returning the final attributes (pool accounting updated).
     pub fn unlink(&self, path: &str) -> FsResult<InodeAttr> {
-        let ino = self.resolve(path)?;
-        let pool = self.pool_of(ino);
         let mut attr = self.shared.vfs.unlink(path)?;
-        attr.size = Self::overlay_size(&attr);
-        // A punched stub occupies ~0 disk; account what was on disk.
-        let on_disk = if attr.xattr(HsmState::XATTR_STUB_SIZE).is_some() {
-            0
-        } else {
-            attr.size
-        };
-        self.pool(pool)
+        let meta = self
+            .shared
+            .files
+            .remove(attr.ino.0)
+            .unwrap_or(FileMeta::resident(self.shared.default_pool));
+        // A punched stub occupies no disk; account what was on disk.
+        let on_disk = attr.size;
+        attr.size = meta.residency.logical_size(on_disk);
+        self.pool(meta.pool)
             .account_remove(DataSize::from_bytes(on_disk));
-        self.shared.file_pools.remove(ino.0);
         Ok(attr)
     }
 
     // ----- DMAPI surface used by the HSM ----------------------------------
 
-    /// Record that a valid tape copy exists (state → Premigrated).
+    /// Record that a valid tape copy exists (state → Premigrated). Refuses
+    /// migrated stubs, whose disk copy is gone.
     pub fn mark_premigrated(&self, ino: Ino, objid: u64) -> FsResult<()> {
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR_OBJID, &objid.to_string())?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Premigrated.as_str())
+        self.set_on_disk(ino, "mark_premigrated", Residency::Premigrated { objid })
     }
 
     /// Punch the managed region: drop on-disk data for a premigrated file,
-    /// leaving a stub that still `stat`s at its logical size.
+    /// leaving a stub that still `stat`s at its logical size. The state
+    /// flips to Migrated before the content goes, so a concurrent
+    /// [`Pfs::read`] never hands out the emptied body.
     pub fn punch_hole(&self, ino: Ino) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state != HsmState::Premigrated {
-            return Err(FsError::PermissionDenied(format!(
-                "punch_hole on {ino} in state {state} (need premigrated)"
-            )));
-        }
         let size = self.shared.vfs.stat_ino(ino)?.size;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR_STUB_SIZE, &size.to_string())?;
+        self.update_meta(ino, |m| match m.residency {
+            Residency::Premigrated { objid } => {
+                m.residency = Residency::Migrated { objid, size };
+                Ok(())
+            }
+            other => Err(FsError::PermissionDenied(format!(
+                "punch_hole on {ino} in state {} (need premigrated)",
+                other.state()
+            ))),
+        })?;
         self.shared.vfs.set_content(ino, Content::empty())?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Migrated.as_str())?;
         self.pool(self.pool_of(ino))
             .account_resize(DataSize::from_bytes(size), DataSize::ZERO);
         Ok(())
     }
 
     /// Refill a stub with data recalled from tape (state → Premigrated:
-    /// disk and tape copies both valid).
+    /// disk and tape copies both valid). The content is in place before
+    /// the state flips, so a read that sees Premigrated sees the data.
     pub fn restore_stub(&self, ino: Ino, content: Content) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state != HsmState::Migrated {
+        let residency = self.meta(ino)?.residency;
+        let Residency::Migrated { objid, size } = residency else {
             return Err(FsError::PermissionDenied(format!(
-                "restore_stub on {ino} in state {state} (need migrated)"
+                "restore_stub on {ino} in state {} (need migrated)",
+                residency.state()
             )));
-        }
-        let logical: u64 = self
-            .shared
-            .vfs
-            .get_xattr(ino, HsmState::XATTR_STUB_SIZE)?
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        if content.len() != logical {
+        };
+        if content.len() != size {
             return Err(FsError::InvalidRange {
-                len: logical,
+                len: size,
                 offset: 0,
                 requested: content.len(),
             });
         }
-        let size = content.len();
         self.shared.vfs.set_content(ino, content)?;
-        self.shared
-            .vfs
-            .remove_xattr(ino, HsmState::XATTR_STUB_SIZE)?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Premigrated.as_str())?;
+        self.update_meta(ino, |m| {
+            m.residency = Residency::Premigrated { objid };
+            Ok(())
+        })?;
         self.pool(self.pool_of(ino))
             .account_resize(DataSize::ZERO, DataSize::from_bytes(size));
         Ok(())
     }
 
-    /// Sever the tape association: drop objid/stub xattrs and return the
-    /// file to Resident. Scrub uses this to repair a premigrated stub
-    /// whose tape object vanished in a crash — the disk copy is intact,
-    /// so the file is simply no longer archived. Refuses migrated stubs
-    /// (their disk copy is gone; dropping the objid would lose data).
+    /// Sever the tape association: drop the object id and return the file
+    /// to Resident. Scrub uses this to repair a premigrated stub whose
+    /// tape object vanished in a crash — the disk copy is intact, so the
+    /// file is simply no longer archived. Refuses migrated stubs (their
+    /// disk copy is gone; dropping the objid would lose data).
     pub fn mark_resident(&self, ino: Ino) -> FsResult<()> {
-        let state = self.hsm_state(ino)?;
-        if state == HsmState::Migrated {
-            return Err(FsError::PermissionDenied(format!(
-                "mark_resident on {ino} in state {state}: stub has no disk copy"
-            )));
-        }
-        self.shared.vfs.remove_xattr(ino, HsmState::XATTR_OBJID)?;
-        self.shared
-            .vfs
-            .remove_xattr(ino, HsmState::XATTR_STUB_SIZE)?;
-        self.shared
-            .vfs
-            .set_xattr(ino, HsmState::XATTR, HsmState::Resident.as_str())
+        self.set_on_disk(ino, "mark_resident", Residency::Resident)
+    }
+
+    /// Set the residency of a file whose disk copy is intact; `op` refuses
+    /// a migrated stub.
+    fn set_on_disk(&self, ino: Ino, op: &str, residency: Residency) -> FsResult<()> {
+        self.shared.vfs.stat_ino(ino)?;
+        self.update_meta(ino, |m| match m.residency {
+            Residency::Migrated { .. } => Err(FsError::PermissionDenied(format!(
+                "{op} on {ino} in state migrated: stub has no disk copy"
+            ))),
+            _ => {
+                m.residency = residency;
+                Ok(())
+            }
+        })
     }
 
     // ----- policy scan -----------------------------------------------------
@@ -562,24 +620,20 @@ impl Pfs {
             .unwrap_or(1)
     }
 
-    /// Policy-visible view of one regular file, built straight from a
-    /// scan-time attr snapshot (stub-size overlay and HSM state come from
-    /// the xattrs already in hand — no second stat, no extra locks). It
-    /// borrows the scan's path and this file system's pool name.
+    /// Policy-visible view of one regular file, built from a scan-time
+    /// attr snapshot plus one side-table read (pool, HSM state and stub
+    /// size). It borrows the scan's path and this file system's pool name.
     fn view_from<'a>(&'a self, path: &'a str, attr: &InodeAttr) -> FileView<'a> {
-        let hsm = attr
-            .xattr(HsmState::XATTR)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(HsmState::Resident);
+        let meta = self.meta_of(attr.ino);
         FileView {
             path,
             ino: attr.ino,
-            size: Self::overlay_size(attr),
+            size: meta.residency.logical_size(attr.size),
             uid: attr.uid,
             mtime: attr.mtime,
             atime: attr.atime,
-            pool: self.pool(self.pool_of(attr.ino)).name(),
-            hsm,
+            pool: self.pool(meta.pool).name(),
+            hsm: meta.residency.state(),
         }
     }
 
@@ -608,7 +662,8 @@ impl Pfs {
             // phases into closed spans (sim-zero-length — the sim clock is
             // frozen during real scans — wall intervals carry the data).
             Some(g) => self.shared.vfs.par_scan_observed(threads, record, |st| {
-                record_shard_spans(&tracer, g.ctx(), "scan.shard", now, &st);
+                let names = ["scan.shard", "scan.shard.snapshot", "scan.shard.walk"];
+                record_shard_spans(&tracer, g.ctx(), names, now, &st);
             }),
             None => self.shared.vfs.par_scan(threads, record),
         };
@@ -655,7 +710,8 @@ impl Pfs {
         };
         let tagged = match &root {
             Some(g) => self.shared.vfs.par_scan_observed(threads, classify, |st| {
-                record_shard_spans(&tracer, g.ctx(), "policy.shard", now, &st);
+                let names = ["policy.shard", "policy.shard.snapshot", "policy.shard.walk"];
+                record_shard_spans(&tracer, g.ctx(), names, now, &st);
             }),
             None => self.shared.vfs.par_scan(threads, classify),
         };
@@ -680,15 +736,16 @@ impl Pfs {
     }
 }
 
-/// Turn one shard's measured scan phases into closed spans: a `<name>`
-/// span per shard with `.snapshot` (under-lock copy-out) and `.walk`
-/// (path materialization + record build) children. Called 64 times per
-/// scan — the only wall-clock reads on the scan path, which is how armed
-/// tracing stays under its 5% overhead budget.
+/// Turn one shard's measured scan phases into closed spans: a shard span
+/// per shard with snapshot (under-lock copy-out) and walk (path
+/// materialization + record build) children, named by `[shard, snapshot,
+/// walk]`. Called 64 times per scan — the only wall-clock reads on the
+/// scan path, which is how armed tracing stays under its 5% overhead
+/// budget.
 fn record_shard_spans(
     tracer: &Tracer,
     parent: copra_trace::SpanContext,
-    name: &'static str,
+    [name, snapshot, walk]: [&'static str; 3],
     now: SimInstant,
     st: &copra_vfs::ShardScanStats,
 ) {
@@ -697,32 +754,8 @@ fn record_shard_spans(
     let start = walk_start.saturating_sub(st.snapshot_ns);
     let key = st.shard as u64;
     let shard = tracer.record_span(Some(parent), name, key, now, now, start, end);
-    match name {
-        "scan.shard" => {
-            tracer.record_span(
-                shard,
-                "scan.shard.snapshot",
-                key,
-                now,
-                now,
-                start,
-                walk_start,
-            );
-            tracer.record_span(shard, "scan.shard.walk", key, now, now, walk_start, end);
-        }
-        _ => {
-            tracer.record_span(
-                shard,
-                "policy.shard.snapshot",
-                key,
-                now,
-                now,
-                start,
-                walk_start,
-            );
-            tracer.record_span(shard, "policy.shard.walk", key, now, now, walk_start, end);
-        }
-    }
+    tracer.record_span(shard, snapshot, key, now, now, start, walk_start);
+    tracer.record_span(shard, walk, key, now, now, walk_start, end);
 }
 
 #[cfg(test)]
@@ -848,10 +881,22 @@ mod tests {
         pfs.write_at(ino, 0, Content::literal(&b"new"[..])).unwrap();
         assert_eq!(pfs.hsm_state(ino).unwrap(), HsmState::Resident);
         assert_eq!(pfs.hsm_objid(ino).unwrap(), None);
-        assert_eq!(
-            pfs.get_xattr(ino, "hsm.orphan.objid").unwrap().as_deref(),
-            Some("55")
-        );
+        assert_eq!(pfs.orphan_objid(ino).unwrap(), Some(55));
+    }
+
+    #[test]
+    fn user_xattrs_cannot_forge_residency() {
+        let pfs = archive_fs();
+        let content = Content::synthetic(1, 2000);
+        let ino = pfs.create_file("/f", 0, content.clone()).unwrap();
+        pfs.set_xattr(ino, "hsm.state", "migrated").unwrap();
+        pfs.set_xattr(ino, "hsm.stub.size", "999").unwrap();
+        assert_eq!(pfs.hsm_state(ino).unwrap(), HsmState::Resident);
+        assert_eq!(pfs.stat("/f").unwrap().size, 2000);
+        match pfs.read(ino, 0, 2000).unwrap() {
+            ReadOutcome::Data(c) => assert!(c.eq_content(&content)),
+            other => panic!("expected data, got {other:?}"),
+        }
     }
 
     #[test]

@@ -30,6 +30,26 @@ fn archive() -> Pfs {
         .build()
 }
 
+/// What the test expects of one file.
+struct Model {
+    ino: Ino,
+    logical: u64,
+    state: HsmState,
+    objid: Option<u64>,
+    orphan: Option<u64>,
+}
+
+impl Model {
+    /// An overwrite or truncate of a file still on disk.
+    fn mutate(&mut self) {
+        if self.state == HsmState::Premigrated {
+            self.orphan = self.objid;
+        }
+        self.state = HsmState::Resident;
+        self.objid = None;
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Create(u8, u32),
@@ -64,11 +84,13 @@ proptest! {
     /// After any sequence of namespace + DMAPI operations:
     /// * per-pool `used` equals the sum of on-disk bytes of its files;
     /// * logical sizes survive punch/restore;
-    /// * the HSM state machine only takes legal transitions.
+    /// * the HSM state machine only takes legal transitions;
+    /// * a file has a tape object id exactly when it is not resident, and
+    ///   an overwrite parks the stale one as its orphan.
     #[test]
     fn pool_accounting_matches_reality(ops in ops()) {
         let pfs = archive();
-        let mut files: HashMap<u8, (Ino, u64 /*logical*/, HsmState)> = HashMap::new();
+        let mut files: HashMap<u8, Model> = HashMap::new();
         let mut next_objid = 1u64;
         for op in ops {
             match op {
@@ -79,93 +101,110 @@ proptest! {
                     let ino = pfs
                         .create_file(&format!("/f{f}"), 0, Content::synthetic(f as u64, size as u64))
                         .unwrap();
-                    files.insert(f, (ino, size as u64, HsmState::Resident));
+                    files.insert(
+                        f,
+                        Model {
+                            ino,
+                            logical: size as u64,
+                            state: HsmState::Resident,
+                            objid: None,
+                            orphan: None,
+                        },
+                    );
                 }
                 Op::WriteAt(f, off, len) => {
-                    if let Some((ino, logical, state)) = files.get_mut(&f) {
-                        if *state == HsmState::Migrated {
-                            prop_assert!(pfs
-                                .write_at(*ino, off as u64, Content::synthetic(9, len as u64))
-                                .is_err());
+                    if let Some(m) = files.get_mut(&f) {
+                        let r = pfs.write_at(m.ino, off as u64, Content::synthetic(9, len as u64));
+                        if m.state == HsmState::Migrated {
+                            prop_assert!(r.is_err());
                             continue;
                         }
-                        pfs.write_at(*ino, off as u64, Content::synthetic(9, len as u64))
-                            .unwrap();
-                        *logical = (*logical).max(off as u64 + len as u64);
-                        *state = HsmState::Resident; // mutation orphans tape copy
+                        r.unwrap();
+                        m.logical = m.logical.max(off as u64 + len as u64);
+                        m.mutate();
                     }
                 }
                 Op::Truncate(f, size) => {
-                    if let Some((ino, logical, state)) = files.get_mut(&f) {
-                        if *state == HsmState::Migrated {
-                            prop_assert!(pfs.truncate(*ino, size as u64).is_err());
+                    if let Some(m) = files.get_mut(&f) {
+                        let r = pfs.truncate(m.ino, size as u64);
+                        if m.state == HsmState::Migrated {
+                            prop_assert!(r.is_err());
                             continue;
                         }
-                        pfs.truncate(*ino, size as u64).unwrap();
-                        *logical = size as u64;
-                        *state = HsmState::Resident;
+                        r.unwrap();
+                        m.logical = size as u64;
+                        m.mutate();
                     }
                 }
                 Op::Unlink(f) => {
-                    if let Some((_, logical, _)) = files.get(&f) {
+                    if let Some(m) = files.get(&f) {
                         let attr = pfs.unlink(&format!("/f{f}")).unwrap();
-                        prop_assert_eq!(attr.size, *logical);
+                        prop_assert_eq!(attr.size, m.logical);
                         files.remove(&f);
                     }
                 }
                 Op::Premigrate(f) => {
-                    if let Some((ino, _, state)) = files.get_mut(&f) {
-                        if *state == HsmState::Resident {
-                            pfs.mark_premigrated(*ino, next_objid).unwrap();
-                            next_objid += 1;
-                            *state = HsmState::Premigrated;
+                    if let Some(m) = files.get_mut(&f) {
+                        match m.state {
+                            HsmState::Resident => {
+                                pfs.mark_premigrated(m.ino, next_objid).unwrap();
+                                m.state = HsmState::Premigrated;
+                                m.objid = Some(next_objid);
+                                next_objid += 1;
+                            }
+                            HsmState::Migrated => {
+                                prop_assert!(pfs.mark_premigrated(m.ino, next_objid).is_err());
+                            }
+                            HsmState::Premigrated => {}
                         }
                     }
                 }
                 Op::Punch(f) => {
-                    if let Some((ino, _, state)) = files.get_mut(&f) {
-                        let r = pfs.punch_hole(*ino);
-                        if *state == HsmState::Premigrated {
+                    if let Some(m) = files.get_mut(&f) {
+                        let r = pfs.punch_hole(m.ino);
+                        if m.state == HsmState::Premigrated {
                             r.unwrap();
-                            *state = HsmState::Migrated;
+                            m.state = HsmState::Migrated;
                         } else {
                             prop_assert!(r.is_err());
                         }
                     }
                 }
                 Op::Restore(f) => {
-                    if let Some((ino, logical, state)) = files.get_mut(&f) {
-                        let content = Content::synthetic(1, *logical);
-                        let r = pfs.restore_stub(*ino, content);
-                        if *state == HsmState::Migrated {
+                    if let Some(m) = files.get_mut(&f) {
+                        let r = pfs.restore_stub(m.ino, Content::synthetic(1, m.logical));
+                        if m.state == HsmState::Migrated {
                             r.unwrap();
-                            *state = HsmState::Premigrated;
+                            m.state = HsmState::Premigrated;
                         } else {
                             prop_assert!(r.is_err());
                         }
                     }
                 }
                 Op::MovePool(f) => {
-                    if let Some((ino, _, _)) = files.get(&f) {
-                        let target = if pfs.pool(pfs.pool_of(*ino)).name() == "fast" {
+                    if let Some(m) = files.get(&f) {
+                        let target = if pfs.pool(pfs.pool_of(m.ino)).name() == "fast" {
                             "slow"
                         } else {
                             "fast"
                         };
-                        pfs.move_to_pool(*ino, target, copra_simtime::SimInstant::EPOCH)
+                        pfs.move_to_pool(m.ino, target, copra_simtime::SimInstant::EPOCH)
                             .unwrap();
                     }
                 }
             }
             // Invariants after every step.
             let mut per_pool: HashMap<String, u64> = HashMap::new();
-            for (f, (ino, logical, state)) in &files {
+            for (f, m) in &files {
                 let attr = pfs.stat(&format!("/f{f}")).unwrap();
-                prop_assert_eq!(attr.size, *logical, "logical size of f{}", f);
-                prop_assert_eq!(pfs.hsm_state(*ino).unwrap(), *state);
-                let on_disk = if *state == HsmState::Migrated { 0 } else { *logical };
+                prop_assert_eq!(attr.size, m.logical, "logical size of f{}", f);
+                prop_assert_eq!(pfs.logical_size(m.ino).unwrap(), m.logical);
+                prop_assert_eq!(pfs.hsm_state(m.ino).unwrap(), m.state);
+                prop_assert_eq!(pfs.hsm_objid(m.ino).unwrap(), m.objid, "objid of f{}", f);
+                prop_assert_eq!(pfs.orphan_objid(m.ino).unwrap(), m.orphan, "orphan of f{}", f);
+                let on_disk = if m.state == HsmState::Migrated { 0 } else { m.logical };
                 *per_pool
-                    .entry(pfs.pool(pfs.pool_of(*ino)).name().to_string())
+                    .entry(pfs.pool(pfs.pool_of(m.ino)).name().to_string())
                     .or_default() += on_disk;
             }
             for pool in pfs.pools() {

@@ -1778,7 +1778,7 @@ impl ManagerState<'_, '_> {
             .pfs
             .hsm_objid(ino)
             .map_err(|e| e.to_string())?
-            .ok_or_else(|| "stub without hsm.objid".to_string())?;
+            .ok_or_else(|| "stub without a tape object id".to_string())?;
         if let Some(catalog) = &eng.src.catalog {
             if let Some(row) = catalog.lookup(objid) {
                 return Ok((row.tape, row.seq));

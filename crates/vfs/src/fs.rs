@@ -723,8 +723,8 @@ impl Vfs {
         })
     }
 
-    /// Unlink a file, returning its final attributes (the synchronous
-    /// deleter needs the ino and HSM xattrs of what was just removed).
+    /// Unlink a file, returning its final attributes (the parallel file
+    /// system drops its per-ino side-table entry by the returned ino).
     pub fn unlink(&self, path: &str) -> FsResult<InodeAttr> {
         let (parent, name) = parent_and_name(path)?;
         let now = self.now();
@@ -830,21 +830,6 @@ impl Vfs {
             node.ctime = now;
             Ok(())
         })
-    }
-
-    pub fn remove_xattr(&self, ino: Ino, key: &str) -> FsResult<()> {
-        let now = self.now();
-        self.with_node_mut(ino, |node| {
-            if node.xattrs.contains_key(key) {
-                Arc::make_mut(&mut node.xattrs).remove(key);
-            }
-            node.ctime = now;
-            Ok(())
-        })
-    }
-
-    pub fn get_xattr(&self, ino: Ino, key: &str) -> FsResult<Option<String>> {
-        self.with_node(ino, |node| Ok(node.xattrs.get(key).cloned()))
     }
 
     /// Set the owner uid.
@@ -1149,11 +1134,11 @@ mod tests {
     fn unlink_returns_attrs_and_removes() {
         let v = fs();
         let ino = v.create("/f", 7, Content::literal(&b"abc"[..])).unwrap();
-        v.set_xattr(ino, "hsm.objid", "42").unwrap();
+        v.set_xattr(ino, "user.tag", "42").unwrap();
         let attr = v.unlink("/f").unwrap();
         assert_eq!(attr.ino, ino);
         assert_eq!(attr.uid, 7);
-        assert_eq!(attr.xattr("hsm.objid"), Some("42"));
+        assert_eq!(attr.xattr("user.tag"), Some("42"));
         assert!(!v.exists("/f"));
         assert!(matches!(v.stat_ino(ino), Err(FsError::StaleInode(_))));
     }
@@ -1239,9 +1224,9 @@ mod tests {
         let v = fs();
         let ino = v.create("/f", 0, Content::empty()).unwrap();
         v.set_xattr(ino, "k", "v").unwrap();
-        assert_eq!(v.get_xattr(ino, "k").unwrap().as_deref(), Some("v"));
-        v.remove_xattr(ino, "k").unwrap();
-        assert_eq!(v.get_xattr(ino, "k").unwrap(), None);
+        let attr = v.stat_ino(ino).unwrap();
+        assert_eq!(attr.xattr("k"), Some("v"));
+        assert_eq!(attr.xattr("missing"), None);
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct InodeAttr {
     pub atime: SimInstant,
     /// Last attribute change.
     pub ctime: SimInstant,
-    /// Extended attributes. Higher layers use these for HSM state
-    /// (`hsm.state`, `hsm.objid`), pool placement and fuse chunk maps.
+    /// Extended attributes. Higher layers use these for fuse chunk maps;
+    /// HSM state and pool placement live in the parallel file system's own
+    /// per-ino side table, not here.
     /// Shared with the live inode (copy-on-write): building an attr never
     /// deep-copies the map, which keeps `stat`/`walk`/scan allocation-free
     /// on the hot path.
@@ -78,13 +79,13 @@ mod tests {
             atime: SimInstant::EPOCH,
             ctime: SimInstant::EPOCH,
             xattrs: Arc::new(BTreeMap::from([(
-                "hsm.state".to_string(),
-                "migrated".to_string(),
+                "user.tag".to_string(),
+                "blue".to_string(),
             )])),
         };
         assert!(attr.is_file());
         assert!(!attr.is_dir());
-        assert_eq!(attr.xattr("hsm.state"), Some("migrated"));
+        assert_eq!(attr.xattr("user.tag"), Some("blue"));
         assert_eq!(attr.xattr("missing"), None);
         assert_eq!(Ino(7).to_string(), "ino:7");
     }

@@ -34,6 +34,13 @@ impl<V> StripedU64Map<V> {
         self.stripe(key).write().insert(key, value)
     }
 
+    /// Read-modify-write `key`'s value under its stripe's write lock,
+    /// inserting `init()` first if the key is absent, so no concurrent
+    /// writer can interleave with `f`.
+    pub fn update<R>(&self, key: u64, init: impl FnOnce() -> V, f: impl FnOnce(&mut V) -> R) -> R {
+        f(self.stripe(key).write().entry(key).or_insert_with(init))
+    }
+
     pub fn remove(&self, key: u64) -> Option<V> {
         self.stripe(key).write().remove(&key)
     }
@@ -104,6 +111,11 @@ mod tests {
         let mut sum = 0;
         m.for_each(|_, v| sum += v);
         assert_eq!(sum, (0..100).map(|i| i * 2).sum::<u64>() - 84);
+        // update initializes an absent key before applying the change.
+        assert_eq!(m.update(42, || 1000, |v| std::mem::replace(v, 1)), 1000);
+        assert_eq!(m.get(42), Some(1));
+        m.update(7, || 0, |v| *v += 1);
+        assert_eq!(m.get(7), Some(15));
     }
 
     #[test]
@@ -115,10 +127,13 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..1000u64 {
                         m.insert(t * 1000 + i, t);
+                        m.update(u64::MAX, || 0, |v| *v += 1);
                     }
                 });
             }
         });
-        assert_eq!(m.len(), 4000);
+        assert_eq!(m.len(), 4001);
+        // Read-modify-writes of one shared key lose no increment.
+        assert_eq!(m.get(u64::MAX), Some(4000));
     }
 }
